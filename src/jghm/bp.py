@@ -1,14 +1,28 @@
 """Exact message passing on the two-tree model.
 
-Everything runs in the log domain with explicit -inf for impossible states,
-so permutation-kernel models (p_flip = 0) are handled exactly. A belief is a
-length-S vector normalized so its maximum entry is 0; message arrays carry
-beliefs for every node of a level and broadcast over arbitrary leading batch
-axes.
+One scaled probability-domain engine (the scaled forward-backward recipe,
+Rabiner 1989) does every sweep. Messages are probability vectors, and after
+each level every node is divided by its total, so nothing underflows with
+depth and the leaf and root beliefs come out normalized. Observed leaves enter by a gather: the message of leaf x to its
+parent is the kernel column x. Above the leaves each level is one matmul with
+the per-rank kernels followed by a product over siblings. A child's cavity
+(the product of its siblings' messages) is built from prefix and suffix
+products, never by dividing a zero out, so exact zeros encode impossible
+states and a permutation-kernel model (p_flip = 0) stays exact. A node whose message is
+all zero means the evidence is impossible under the model, and raises
+ModelError.
+
+Log-domain beliefs appear only at the API and in exported messages: a
+`Belief` is a length-S vector of log-weights, normalized so its maximum entry
+is 0, with -inf for impossible states. `downsweep` and `upsweep` return their
+message stacks in that form, taking the log once at the boundary. Message
+arrays hold one row per node of a level and broadcast over arbitrary leading
+batch axes.
 
 Level conventions: the root is level 0; leaves are level L. Downsweeps
 aggregate leaf evidence toward the root; upsweeps push root-level beliefs
-back to the leaves to obtain per-leaf posteriors.
+back to the leaves to obtain per-leaf posteriors. Children of node p at level
+l - 1 are the rows p*m .. p*m + m - 1 of level l, in rank order.
 """
 
 from dataclasses import dataclass
@@ -16,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import JghmModel, ModelError
-from .sampler import NoisyImage
+from .sampler import NoisyImage, check_time
 
 __all__ = [
     "Belief",
@@ -28,6 +42,7 @@ __all__ = [
     "evidence_from_states",
     "leaf_evidence_from_noise",
     "downsweep",
+    "upsweep",
     "root_log_posterior",
     "root_posterior",
     "optimal_score",
@@ -43,10 +58,12 @@ Belief = np.ndarray  # (..., S) log-domain, max entry 0 after normalize
 
 NEG_INF = -np.inf
 
+IMPOSSIBLE = "belief has no possible state (evidence impossible under model)"
+
 
 @dataclass(frozen=True)
 class MessageStack:
-    """Per-level message arrays from one sweep over a tree.
+    """Per-level message arrays from one sweep over a tree, as log beliefs.
 
     ``h[l]`` has shape (..., n_l, S) for levels l = 0..L; ``q[l-1]`` holds the
     level-l child-to-parent contributions (l = 1..L). ``b``, present after an
@@ -62,8 +79,8 @@ class MessageStack:
 def normalize(b: Belief) -> Belief:
     """Shift each belief so its maximum entry is 0. Idempotent."""
     m = np.max(b, axis=-1, keepdims=True)
-    if not np.all(m > NEG_INF):
-        raise ModelError("belief has no finite entry (evidence impossible under model)")
+    if not (m > NEG_INF).all():
+        raise ModelError(IMPOSSIBLE)
     return b - m
 
 
@@ -73,24 +90,16 @@ def softmax_belief(b: Belief) -> np.ndarray:
     return p / p.sum(axis=-1, keepdims=True)
 
 
-def _log_matvec(mat: np.ndarray, h: Belief, transpose: bool) -> Belief:
-    m = np.max(h, axis=-1, keepdims=True)
-    if not np.all(m > NEG_INF):
-        raise ModelError("belief has no finite entry (evidence impossible under model)")
-    w = np.exp(h - m)
-    v = w @ (mat.T if transpose else mat)
-    with np.errstate(divide="ignore"):
-        return np.log(v) + m
-
-
 def step_down(kernel: np.ndarray, h: Belief) -> Belief:
     """Child-to-parent map: out_s = log sum_a kernel[s, a] * exp(h_a)."""
-    return _log_matvec(kernel, h, transpose=True)
+    w = np.exp(normalize(h))
+    with np.errstate(divide="ignore"):
+        return np.log(w @ kernel.T) + np.max(h, axis=-1, keepdims=True)
 
 
 def step_up(kernel: np.ndarray, h: Belief) -> Belief:
     """Parent-to-child map: out_s = log sum_a kernel[a, s] * exp(h_a)."""
-    return _log_matvec(kernel, h, transpose=False)
+    return step_down(kernel.T, h)
 
 
 def evidence_from_states(states: np.ndarray, n_states: int) -> Belief:
@@ -110,8 +119,7 @@ def leaf_evidence_from_noise(z: np.ndarray, t: float, n_states: int) -> Belief:
     yields the all-zero belief.
     """
     z = np.asarray(z, dtype=float)
-    if t < 0:
-        raise ModelError(f"diffusion time must be >= 0, got {t}")
+    check_time(t)
     if t == 0:
         return np.zeros(z.shape + (n_states,))
     s = np.arange(1, n_states + 1, dtype=float)
@@ -119,13 +127,126 @@ def leaf_evidence_from_noise(z: np.ndarray, t: float, n_states: int) -> Belief:
     return normalize(ev)
 
 
-def _by_rank_down(level_kernels, h):
-    """Apply the per-rank child kernels to a (..., n_l, S) level array."""
-    m = len(level_kernels)
-    q = np.empty_like(h)
+# ---------------------------------------------------------------------------
+# Scaled probability-domain engine
+# ---------------------------------------------------------------------------
+
+
+def _rescale(h: np.ndarray) -> np.ndarray:
+    """Divide every node's message by its total.
+
+    The total is a matvec with ones: numpy's max or sum over a short last
+    axis costs several times as much, and either scale keeps every node's
+    largest entry within [1/S, 1].
+    """
+    total = h @ np.ones(h.shape[-1])
+    if not (total > 0).all():
+        raise ModelError(IMPOSSIBLE)
+    return h / total[..., None]
+
+
+def _by_rank(x: np.ndarray, level_kernels, transpose: bool, stride: int = 1) -> np.ndarray:
+    """Multiply every row of a (..., n, S) array by its rank's kernel.
+
+    Row r belongs to child rank (r // stride) % m. With transpose the row
+    maps child to parent (x @ kernel.T); without, parent to child
+    (x @ kernel). The per-rank kernels sit on the diagonal of one
+    (m*S, m*S) matrix, so a level costs a single matmul.
+    """
+    m, S = len(level_kernels), x.shape[-1]
+    blocks = np.zeros((m * S, m * S))
     for j, kernel in enumerate(level_kernels):
-        q[..., j::m, :] = step_down(kernel, h[..., j::m, :])
-    return q
+        blocks[j * S:(j + 1) * S, j * S:(j + 1) * S] = kernel.T if transpose else kernel
+    grouped = x.reshape(x.shape[:-2] + (-1, m, stride, S)).swapaxes(-3, -2)
+    out = grouped.reshape(-1, m * S) @ blocks
+    return out.reshape(grouped.shape).swapaxes(-3, -2).reshape(x.shape)
+
+
+def _leaf_gather(level_kernels, leaves: np.ndarray) -> np.ndarray:
+    """Child-to-parent messages of observed leaves: column x - 1 of each
+    leaf's rank kernel, shape leaves.shape + (S,)."""
+    columns = np.concatenate([kernel.T for kernel in level_kernels])  # (m*S, S)
+    S = columns.shape[-1]
+    rank = np.arange(leaves.shape[-1]) % len(level_kernels)
+    return np.take(columns, rank * S + leaves - 1, axis=0)
+
+
+def _group(x: np.ndarray, m: int) -> np.ndarray:
+    """View a (..., n, S) level array as (..., n/m, m, S) sibling groups."""
+    return x.reshape(x.shape[:-2] + (-1, m, x.shape[-1]))
+
+
+def _cavities(q: np.ndarray, m: int) -> np.ndarray:
+    """For each child, the product of its siblings' messages, built from
+    exclusive prefix and suffix products (no division)."""
+    g = _group(q, m)
+    cav = np.ones_like(g)
+    np.cumprod(g[..., :-1, :], axis=-2, out=cav[..., 1:, :])
+    cav[..., :-1, :] *= np.cumprod(g[..., :0:-1, :], axis=-2)[..., ::-1, :]
+    return cav.reshape(q.shape)
+
+
+def _down(model: JghmModel, modality: str, q_leaf: np.ndarray, prior_mode: str):
+    """Scaled down pass from the leaves' child-to-parent messages.
+
+    Returns (hs, qs) in probability domain: hs[l] for levels l = 0..L-1 with
+    each node scaled to total 1, qs[l-1] for levels l = 1..L.
+    """
+    topo = model.topology
+    ms = topo.branching(modality)
+    kernels = model.kernels(modality)
+    hs = [None] * topo.depth
+    qs = [None] * topo.depth
+    q = q_leaf
+    for level in range(topo.depth, 0, -1):
+        m = ms[level - 1]
+        if level < topo.depth:
+            q = _by_rank(hs[level], kernels[level - 1], transpose=True)
+        if level == 1 and prior_mode == "split":
+            q = q * model.root_prior ** (1.0 / m)
+        qs[level - 1] = q
+        siblings = _group(q, m)
+        h = siblings[..., 0, :].copy()
+        for j in range(1, m):
+            h *= siblings[..., j, :]
+        if level == 1 and prior_mode == "root":
+            h = h * model.root_prior
+        hs[level - 1] = _rescale(h)
+    return hs, qs
+
+
+def _up(model: JghmModel, modality: str, qs, h_leaf: np.ndarray, root_extra: np.ndarray):
+    """Scaled up pass: parent-to-child messages for levels 1..L, then the
+    normalized leaf beliefs, all in probability domain. `root_extra` is a
+    probability vector over the root; `h_leaf` is the leaf evidence."""
+    ms = model.topology.branching(modality)
+    out = root_extra[..., None, :]
+    bs = []
+    for level, level_kernels in enumerate(model.kernels(modality), start=1):
+        m = ms[level - 1]
+        msg = _group(_cavities(qs[level - 1], m), m) * out[..., None, :]
+        msg = _rescale(msg.reshape(msg.shape[:-3] + (-1, msg.shape[-1])))
+        bs.append(msg)
+        out = _by_rank(msg, level_kernels, transpose=False)
+    bs.append(_rescale(out * h_leaf))
+    return bs
+
+
+def _log(p: np.ndarray) -> Belief:
+    with np.errstate(divide="ignore"):
+        return normalize(np.log(p))
+
+
+def _leaf_messages(model: JghmModel, modality: str, evidence: Belief) -> tuple:
+    """Leaf evidence as probabilities and the leaves' child-to-parent messages."""
+    topo = model.topology
+    if evidence.shape[-2:] != (topo.n_leaves(modality), topo.n_states):
+        raise ModelError(
+            f"evidence shape {evidence.shape[-2:]} does not match "
+            f"({topo.n_leaves(modality)}, {topo.n_states})"
+        )
+    h_leaf = np.exp(normalize(evidence))
+    return h_leaf, _by_rank(h_leaf, model.kernels(modality)[-1], transpose=True)
 
 
 def downsweep(model: JghmModel, modality: str, evidence: Belief, prior_mode: str = "split") -> MessageStack:
@@ -134,59 +255,61 @@ def downsweep(model: JghmModel, modality: str, evidence: Belief, prior_mode: str
     prior_mode controls where the root prior enters:
       'split' -- multiply P[s]^(1/m1) into every level-1 contribution (the
                  contrastive-task form; softmax of h[0] is then P[s | leaves]);
-      'root'  -- add log P[s] once into the root sum (numerically equivalent
-                 cross-check variant);
+      'root'  -- multiply P[s] once into the root product (numerically
+                 equivalent cross-check variant);
       'none'  -- pure likelihood; used when the prior arrives via another
                  modality's posterior (denoising, next-token prediction).
     """
-    topo = model.topology
-    if evidence.shape[-2:] != (topo.n_leaves(modality), topo.n_states):
-        raise ModelError(
-            f"evidence shape {evidence.shape[-2:]} does not match "
-            f"({topo.n_leaves(modality)}, {topo.n_states})"
-        )
     if prior_mode not in ("split", "root", "none"):
         raise ModelError(f"unknown prior_mode {prior_mode!r}")
-    log_prior = np.log(model.root_prior)
-    ms = topo.branching(modality)
-    hs = [None] * (topo.depth + 1)
-    qs = [None] * topo.depth
-    hs[topo.depth] = evidence
-    for level in range(topo.depth, 0, -1):
-        m = ms[level - 1]
-        q = _by_rank_down(model.kernels(modality)[level - 1], hs[level])
-        if level == 1 and prior_mode == "split":
-            q = q + log_prior / ms[0]
-        qs[level - 1] = normalize(q)  # per-node shifts cancel in every use
-        shape = q.shape[:-2] + (q.shape[-2] // m, m, topo.n_states)
-        total = q.reshape(shape).sum(axis=-2)
-        if level == 1 and prior_mode == "root":
-            total = total + log_prior
-        hs[level - 1] = normalize(total)
-    return MessageStack(h=tuple(hs), q=tuple(qs))
+    _, q_leaf = _leaf_messages(model, modality, evidence)
+    hs, qs = _down(model, modality, q_leaf, prior_mode)
+    return MessageStack(h=tuple(_log(h) for h in hs) + (evidence,), q=tuple(_log(q) for q in qs))
+
+
+def upsweep(model: JghmModel, modality: str, stack: MessageStack, root_extra: Belief) -> MessageStack:
+    """Push a root-level belief back to the leaves.
+
+    `root_extra` is a log-domain belief over the root carrying everything
+    outside this tree (e.g. the other modality's posterior, which includes
+    the prior). Requires a stack produced with prior_mode='none'.
+
+    Returns the stack extended with b-messages; the final entry of ``b``
+    holds normalized full leaf beliefs whose softmax is the per-leaf
+    posterior given all evidence.
+    """
+    qs = [np.exp(q) for q in stack.q]
+    h_leaf = np.exp(normalize(stack.h[-1]))
+    bs = _up(model, modality, qs, h_leaf, np.exp(normalize(np.asarray(root_extra))))
+    return MessageStack(h=stack.h, q=stack.q, b=tuple(_log(b) for b in bs))
+
+
+def _check_leaves(model: JghmModel, modality: str, leaves) -> np.ndarray:
+    """Validate a batch of leaf tuples and return it as an integer array."""
+    leaves = np.asarray(leaves)
+    d = model.topology.n_leaves(modality)
+    if leaves.ndim == 0 or leaves.shape[-1] != d:
+        raise ModelError(f"expected {d} {modality} leaves, got shape {leaves.shape}")
+    if leaves.size == 0:
+        raise ModelError(f"empty batch of {modality} leaves, shape {leaves.shape}")
+    if not np.issubdtype(leaves.dtype, np.integer):
+        raise ModelError(f"{modality} leaves must be integer states, got dtype {leaves.dtype}")
+    if leaves.min() < 1 or leaves.max() > model.n_states:
+        raise ModelError(f"leaf values must lie in [1, {model.n_states}]")
+    return leaves
 
 
 def root_log_posterior(model: JghmModel, modality: str, leaves: np.ndarray) -> Belief:
     """log P[root = s | leaves], exactly normalized."""
-    _check_leaves(model, modality, leaves)
-    ev = evidence_from_states(leaves, model.n_states)
-    h0 = downsweep(model, modality, ev, prior_mode="split").h[0][..., 0, :]
-    w = np.exp(h0)  # h0 is normalized, max entry 0
-    return h0 - np.log(w.sum(axis=-1, keepdims=True))
+    leaves = _check_leaves(model, modality, leaves)
+    hs, _ = _down(model, modality, _leaf_gather(model.kernels(modality)[-1], leaves), "split")
+    with np.errstate(divide="ignore"):
+        return np.log(hs[0][..., 0, :])
 
 
 def root_posterior(model: JghmModel, modality: str, leaves: np.ndarray) -> np.ndarray:
     """P[root = s | leaves] as a probability vector."""
     return np.exp(root_log_posterior(model, modality, leaves))
-
-
-def _check_leaves(model, modality, leaves):
-    leaves = np.asarray(leaves)
-    d = model.topology.n_leaves(modality)
-    if leaves.shape[-1] != d:
-        raise ModelError(f"expected {d} {modality} leaves, got shape {leaves.shape}")
-    if leaves.min() < 1 or leaves.max() > model.n_states:
-        raise ModelError(f"leaf values must lie in [1, {model.n_states}]")
 
 
 def optimal_score(model: JghmModel, x_im: np.ndarray, x_tx: np.ndarray, clamp: float = None):
@@ -219,58 +342,20 @@ def posterior_floor(model: JghmModel) -> float:
     return 1.0 / (b ** (2 * model.topology.m_first) * model.n_states)
 
 
-def _sibling_cavity(q_level: np.ndarray, m: int) -> np.ndarray:
-    """For each child, sum the q-messages of its siblings (explicit sums so
-    -inf entries stay exact; no subtraction of infinities)."""
-    shape = q_level.shape[:-2] + (q_level.shape[-2] // m, m, q_level.shape[-1])
-    q = q_level.reshape(shape)
-    cav = np.zeros_like(q)
-    for j in range(m):
-        for k in range(m):
-            if k != j:
-                cav[..., j, :] = cav[..., j, :] + q[..., k, :]
-    return cav.reshape(q_level.shape)
-
-
-def upsweep(model: JghmModel, modality: str, stack: MessageStack, root_extra: Belief) -> MessageStack:
-    """Push a root-level belief back to the leaves.
-
-    `root_extra` is a log-domain belief over the root carrying everything
-    outside this tree (e.g. the other modality's posterior, which includes
-    the prior). Requires a stack produced with prior_mode='none'.
-
-    Returns the stack extended with b-messages; the final entry of ``b``
-    holds normalized full leaf beliefs whose softmax is the per-leaf
-    posterior given all evidence.
-    """
-    topo = model.topology
-    ms = topo.branching(modality)
-    extra = np.asarray(root_extra)
-    lead = np.broadcast_shapes(stack.h[0].shape[:-2], extra.shape[:-1])
-    out = np.broadcast_to(extra[..., None, :], lead + (1, topo.n_states))
-    bs = []
-    for level in range(1, topo.depth + 1):
-        m = ms[level - 1]
-        q = stack.q[level - 1]
-        cavity = _sibling_cavity(q, m)
-        msg = normalize(np.repeat(out, m, axis=-2) + cavity)
-        bs.append(msg)
-        up = np.empty_like(msg)
-        for j, kernel in enumerate(model.kernels(modality)[level - 1]):
-            up[..., j::m, :] = step_up(kernel, msg[..., j::m, :])
-        out = up
-    leaf_full = normalize(out + stack.h[topo.depth])
-    bs.append(leaf_full)
-    return MessageStack(h=stack.h, q=stack.q, b=tuple(bs))
+def _leaf_posteriors(model: JghmModel, modality: str, evidence: Belief, root_extra: np.ndarray) -> np.ndarray:
+    """P[x_v = s | evidence, root_extra] for every leaf v; `root_extra` is a
+    probability vector over the root."""
+    h_leaf, q_leaf = _leaf_messages(model, modality, evidence)
+    _, qs = _down(model, modality, q_leaf, "none")
+    return _up(model, modality, qs, h_leaf, root_extra)[-1]
 
 
 def leaf_log_posteriors(model: JghmModel, modality: str, evidence: Belief, root_extra: Belief) -> Belief:
     """log P[x_v = s | evidence, root_extra] for every leaf v, normalized to
     sum 1 in probability domain."""
-    stack = downsweep(model, modality, evidence, prior_mode="none")
-    full = upsweep(model, modality, stack, root_extra).b[-1]
-    w = np.exp(full)
-    return full - np.log(w.sum(axis=-1, keepdims=True))
+    post = _leaf_posteriors(model, modality, evidence, softmax_belief(np.asarray(root_extra)))
+    with np.errstate(divide="ignore"):
+        return np.log(post)
 
 
 def bayes_denoiser(model: JghmModel, noisy: NoisyImage, x_tx: np.ndarray) -> np.ndarray:
@@ -278,11 +363,9 @@ def bayes_denoiser(model: JghmModel, noisy: NoisyImage, x_tx: np.ndarray) -> np.
 
     Broadcasts over leading axes of `noisy.z`; every output lies in [1, S].
     """
-    _check_leaves(model, "tx", x_tx)
+    text_post = np.exp(root_log_posterior(model, "tx", x_tx))
     ev = leaf_evidence_from_noise(noisy.z, noisy.t, model.n_states)
-    text_post = root_log_posterior(model, "tx", x_tx)
-    log_post = leaf_log_posteriors(model, "im", ev, text_post)
-    probs = np.exp(log_post)
+    probs = _leaf_posteriors(model, "im", ev, text_post)
     states = np.arange(1, model.n_states + 1, dtype=float)
     return probs @ states
 
@@ -294,115 +377,63 @@ def next_token_posterior_bp(model: JghmModel, x_im: np.ndarray, prefix) -> np.nd
     unobserved positions contribute the uninformative all-zero belief.
     """
     topo = model.topology
-    prefix = np.asarray(prefix, dtype=np.int64).reshape(-1)
+    prefix = np.asarray(prefix).reshape(-1)
     d = topo.d_tx
     i = len(prefix)
     if i > d - 1:
         raise ModelError(f"prefix length {i} exceeds d_tx - 1 = {d - 1}")
+    if i and not np.issubdtype(prefix.dtype, np.integer):
+        raise ModelError(f"prefix tokens must be integer states, got dtype {prefix.dtype}")
     if i and (prefix.min() < 1 or prefix.max() > model.n_states):
         raise ModelError(f"prefix values must lie in [1, {model.n_states}]")
     ev = np.zeros((d, model.n_states))
     if i:
         ev[:i] = evidence_from_states(prefix, model.n_states)
-    img_post = root_log_posterior(model, "im", x_im)
-    log_post = leaf_log_posteriors(model, "tx", ev, img_post)
-    return np.exp(log_post[..., i, :])
-
-
-def _cavity_subtract(b: Belief, q: Belief) -> Belief:
-    # -inf minus -inf stays -inf: a state impossible in both terms remains
-    # impossible in the cavity (exact on consistent permutation models).
-    both = np.isneginf(b) & np.isneginf(q)
-    with np.errstate(invalid="ignore"):
-        out = b - q
-    out[both] = NEG_INF
-    return out
+    img_post = root_posterior(model, "im", x_im)
+    return _leaf_posteriors(model, "tx", ev, img_post)[..., i, :]
 
 
 def next_token_posteriors_parallel(model: JghmModel, x_im: np.ndarray, x_tx: np.ndarray) -> np.ndarray:
     """All next-token posteriors from one downsweep plus one upsweep.
 
     Teacher forcing: given the full text, returns a (d_tx, S) array whose
-    row i equals P[x_tx,i+1 = . | x_im, x_tx,1:i]. Messages for fully
-    observed subtrees are shared across prefixes by storing each subtree's
-    aggregate at its rightmost leaf.
+    row i equals P[x_tx,i+1 = . | x_im, x_tx,1:i]. Every array has one row
+    per leaf v; at level l that row stands for leaf v's level-l ancestor.
+
+    The down pass keeps, for each row, Q: the ancestor's message to its
+    parent restricted to the observed leaves <= v, and E: the product of
+    the complete messages of the ancestor's earlier siblings (complete at
+    their last leaf). H = E * Q is then the parent's restricted message.
+    The up pass carries D: for leaf v's level-l ancestor, the message from
+    outside its subtree given the image and the leaves before v. Multiplying
+    by E adds the ancestor's earlier siblings, which are fully observed; its
+    later siblings hold no observed leaf. No message is divided by another.
     """
     topo = model.topology
-    _check_leaves(model, "im", x_im)
-    _check_leaves(model, "tx", x_tx)
-    S = topo.n_states
-    d = topo.d_tx
-    L = topo.depth
-    ms = topo.m_tx
+    x_tx = _check_leaves(model, "tx", x_tx)
+    S, d, L, ms = topo.n_states, topo.d_tx, topo.depth, topo.m_tx
     kernels = model.kernels_tx
     strides = [int(np.prod(ms[level:], dtype=np.int64)) for level in range(L + 1)]
-    leaf_idx = np.arange(d)
 
-    img_post = root_log_posterior(model, "im", x_im)
+    img_post = root_posterior(model, "im", x_im)
 
-    # Downsweep: H[v] is the running message of leaf v's level-l ancestor,
-    # restricted to observed leaves <= v inside that ancestor's subtree.
-    H = evidence_from_states(x_tx, S)
-    Hs = [None] * (L + 1)
-    Qs = [None] * (L + 1)
-    Hs[L] = H
+    Es = [None] * (L + 1)
+    Q = _leaf_gather(kernels[L - 1], x_tx)
     for level in range(L, 0, -1):
-        m = ms[level - 1]
-        anc = leaf_idx // strides[level]
-        rank = anc % m
-        Q = np.empty_like(H)
-        for j, kernel in enumerate(kernels[level - 1]):
-            sel = rank == j
-            if np.any(sel):
-                Q[..., sel, :] = step_down(kernel, H[..., sel, :])
-        acc = Q.copy()
-        for k in range(1, m):
-            sel = rank >= k
-            if np.any(sel):
-                src = (anc[sel] - k + 1) * strides[level] - 1
-                acc[..., sel, :] += Q[..., src, :]
-        H = normalize(acc)
-        Qs[level] = Q
-        Hs[level - 1] = H
+        m, stride = ms[level - 1], strides[level]
+        if level < L:
+            Q = _by_rank(H, kernels[level - 1], transpose=True, stride=stride)
+        grouped = Q.reshape(Q.shape[:-2] + (-1, m, stride, S))
+        E = np.ones_like(grouped[..., -1:, :])
+        np.cumprod(grouped[..., :-1, -1:, :], axis=-3, out=E[..., 1:, :, :])
+        Es[level] = E
+        if level > 1:
+            H = _rescale((grouped * E).reshape(Q.shape))
 
-    # Upsweep toward leaf v+1 for each v: B[v] is the belief at the level-l
-    # ancestor of leaf v+1 given the image and the prefix ending at v.
-    B = Hs[0][..., :-1, :] + img_post[..., None, :]
-    v = leaf_idx[:-1]
+    lead = np.broadcast_shapes(img_post.shape[:-1], x_tx.shape[:-1])
+    D = np.broadcast_to(img_post[..., None, :], lead + (d, S))
     for level in range(1, L + 1):
-        m = ms[level - 1]
-        anc_v = v // strides[level]
-        anc_next = (v + 1) // strides[level]
-        target_rank = anc_next % m
-        shared = anc_v == anc_next
-        base = np.where(
-            shared[..., None],
-            _cavity_subtract(B, Qs[level][..., :-1, :]),
-            B,
-        )
-        base = normalize(base)
-        nxt = np.empty_like(base)
-        for j, kernel in enumerate(kernels[level - 1]):
-            sel = target_rank == j
-            if np.any(sel):
-                nxt[..., sel, :] = step_up(kernel, base[..., sel, :])
-        B = np.where(shared[..., None], nxt + Hs[level][..., :-1, :], nxt)
-
-    first = softmax_belief(_first_token_logits(model, img_post))[..., None, :]
-    if d == 1:
-        return first
-    rest = softmax_belief(B)
-    lead = np.broadcast_shapes(first.shape[:-2], rest.shape[:-2])
-    return np.concatenate(
-        [np.broadcast_to(first, lead + (1, S)), np.broadcast_to(rest, lead + (d - 1, S))],
-        axis=-2,
-    )
-
-
-def _first_token_logits(model: JghmModel, img_log_post: Belief) -> Belief:
-    """log P[x_tx,1 = s | x_im] via the composed kernels along leaf 1's path."""
-    composed = None
-    for level_kernels in model.kernels_tx:
-        k = level_kernels[0]
-        composed = k if composed is None else composed @ k
-    return step_up(composed, img_log_post)
+        m, stride = ms[level - 1], strides[level]
+        D = (D.reshape(lead + (-1, m, stride, S)) * Es[level]).reshape(lead + (d, S))
+        D = _rescale(_by_rank(D, kernels[level - 1], transpose=False, stride=stride))
+    return D

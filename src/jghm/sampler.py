@@ -61,6 +61,12 @@ class ContrastiveBatch:
         return self.images.shape[0]
 
 
+def check_time(t: float):
+    """Reject a diffusion time that is negative, infinite or nan."""
+    if not (np.isfinite(t) and t >= 0):
+        raise ModelError(f"diffusion time t must be finite and >= 0, got {t}")
+
+
 @dataclass(frozen=True)
 class NoisyImage:
     """Gaussian observation z = t * x_im + sqrt(t) * g at diffusion time t."""
@@ -69,8 +75,7 @@ class NoisyImage:
     z: np.ndarray
 
     def __post_init__(self):
-        if self.t < 0:
-            raise ModelError(f"diffusion time must be >= 0, got {self.t}")
+        check_time(self.t)
         if not np.all(np.isfinite(self.z)):
             raise ModelError("noisy image has non-finite entries")
 
@@ -142,8 +147,7 @@ def noise_image(x_im: np.ndarray, t: float, rng: np.random.Generator, g=None) ->
 
     `g` can be injected for tests; otherwise it is drawn from `rng`.
     """
-    if t < 0:
-        raise ModelError(f"diffusion time must be >= 0, got {t}")
+    check_time(t)
     x = np.asarray(x_im, dtype=float)
     if g is None:
         g = rng.standard_normal(x.shape)

@@ -103,6 +103,13 @@ class TestNoiseEvidence:
         p = softmax_belief(ev[0])
         assert p[1] >= 1 - 1e-15
 
+    @pytest.mark.parametrize("t", [np.nan, np.inf])
+    def test_non_finite_time_rejected(self, t):
+        with pytest.raises(ModelError, match="time t"):
+            leaf_evidence_from_noise(np.array([1.0]), t, 3)
+        with pytest.raises(ModelError, match="time t"):
+            NoisyImage(t=t, z=np.zeros(4))
+
 
 class TestRootPosterior:
     def test_permutation_model_one_hot(self, perm_model):
@@ -147,6 +154,15 @@ class TestRootPosterior:
             root_posterior(ref_model, "im", np.array([1, 2, 3, 4]))
         with pytest.raises(ModelError):
             root_posterior(ref_model, "im", np.array([1, 2, 3]))
+        with pytest.raises(ModelError, match="integer"):
+            root_posterior(ref_model, "im", np.array([[1.5, 2, 2, 1]]))
+        with pytest.raises(ModelError, match="empty"):
+            root_posterior(ref_model, "im", np.zeros((0, 4), dtype=int))
+        s = sample_joint(ref_model, stream(4, "bad"))
+        with pytest.raises(ModelError, match="integer"):
+            next_token_posteriors_parallel(ref_model, s.x_im, s.x_tx.astype(float))
+        with pytest.raises(ModelError, match="integer"):
+            next_token_posterior_bp(ref_model, s.x_im, [1.7])
 
     def test_message_stacks_are_normalized(self, ref_model):
         ev = evidence_from_states(sample_joint(ref_model, stream(4, "stk")).x_im, 3)
@@ -372,3 +388,60 @@ class TestBpOracleSweep:
                     exact_next_token(m, s.x_im, s.x_tx[:i_pre], table),
                     atol=1e-9,
                 )
+
+
+class TestDeepTreeUnderflow:
+    """Depth 8 (256 leaves per tree): per-node rescaling keeps every sweep
+    finite and normalized, and exact zeros keep permutation models exact."""
+
+    @staticmethod
+    def deep_model(p_flip):
+        topo = TreeTopology(depth=8, m_im=(2,) * 8, m_tx=(2,) * 8, n_states=4)
+        return make_pflip_model(ModelGenSpec(topology=topo, p_flip=p_flip, seed=5))
+
+    @pytest.mark.parametrize("p_flip", [0.0, 0.01, 0.3])
+    def test_root_posterior_sums_to_one(self, p_flip):
+        m = self.deep_model(p_flip)
+        draws = sample_joint_batch(m, 16, stream(30, "deep", str(p_flip)))
+        for modality in ("im", "tx"):
+            post = root_posterior(m, modality, getattr(draws, f"x_{modality}"))
+            assert np.all(np.isfinite(post))
+            assert np.max(np.abs(post.sum(axis=-1) - 1.0)) <= 1e-12
+
+    def test_permutation_model_exactly_one_hot(self):
+        m = self.deep_model(0.0)
+        draws = sample_joint_batch(m, 8, stream(31, "deep0"))
+        eye = np.eye(4)
+        assert np.array_equal(root_posterior(m, "im", draws.x_im), eye[draws.root - 1])
+        assert np.array_equal(root_posterior(m, "tx", draws.x_tx), eye[draws.root - 1])
+        par = next_token_posteriors_parallel(m, draws.x_im, draws.x_tx)
+        assert np.array_equal(par, eye[draws.x_tx - 1])
+
+    @pytest.mark.parametrize("p_flip", [0.01, 0.3])
+    def test_next_token_rows_normalized(self, p_flip):
+        m = self.deep_model(p_flip)
+        s = sample_joint(m, stream(32, "deepnt", str(p_flip)))
+        par = next_token_posteriors_parallel(m, s.x_im, s.x_tx)
+        assert np.all(np.isfinite(par))
+        assert np.max(np.abs(par.sum(axis=-1) - 1.0)) <= 1e-12
+        for i in (0, 1, 127, 255):
+            seq = next_token_posterior_bp(m, s.x_im, s.x_tx[:i])
+            assert np.max(np.abs(par[i] - seq)) <= 1e-12
+
+    @pytest.mark.parametrize("p_flip", [0.01, 0.3])
+    @pytest.mark.parametrize("t", [1e-300, 1e6])
+    def test_denoiser_extreme_time_and_noise(self, p_flip, t):
+        m = self.deep_model(p_flip)
+        rng = stream(33, "deepden", str(p_flip), str(t))
+        draws = sample_joint_batch(m, 4, rng)
+        z = np.concatenate([
+            rng.uniform(-1e6, 1e6, (4, 256)),
+            t * draws.x_im + np.sqrt(t) * rng.standard_normal((4, 256)),
+            np.full((1, 256), 1e6),
+            np.full((1, 256), -1e6),
+        ])
+        x_tx = np.concatenate([draws.x_tx, draws.x_tx, draws.x_tx[:2]])
+        den = bayes_denoiser(m, NoisyImage(t=t, z=z), x_tx)
+        assert den.shape == (10, 256)
+        assert np.all(np.isfinite(den))
+        assert np.all((den >= 1) & (den <= 4))
