@@ -3,14 +3,14 @@
 One scaled probability-domain engine (the scaled forward-backward recipe,
 Rabiner 1989) does every sweep. Messages are probability vectors, and after
 each level every node is divided by its total, so nothing underflows with
-depth and the leaf and root beliefs come out normalized. Observed leaves enter by a gather: the message of leaf x to its
-parent is the kernel column x. Above the leaves each level is one matmul with
-the per-rank kernels followed by a product over siblings. A child's cavity
-(the product of its siblings' messages) is built from prefix and suffix
-products, never by dividing a zero out, so exact zeros encode impossible
-states and a permutation-kernel model (p_flip = 0) stays exact. A node whose message is
-all zero means the evidence is impossible under the model, and raises
-ModelError.
+depth and the root and leaf beliefs come out normalized. Observed leaves
+enter by a gather: the message of leaf x to its parent is kernel column x.
+Above the leaves each level is one matmul with the per-rank kernels followed
+by a product over siblings. A child's cavity (the product of its siblings'
+messages) is built from prefix and suffix products, never by dividing a
+zero out, so exact zeros encode impossible states and a permutation-kernel
+model (p_flip = 0) stays exact. A node whose message is all zero means the
+evidence is impossible under the model, and raises ModelError.
 
 Log-domain beliefs appear only at the API and in exported messages: a
 `Belief` is a length-S vector of log-weights, normalized so its maximum entry
