@@ -22,6 +22,7 @@ import numpy as np
 
 from . import __version__
 from .bp import (
+    bayes_denoiser,
     downsweep,
     evidence_from_states,
     leaf_evidence_from_noise,
@@ -32,7 +33,7 @@ from .bp import (
     root_posterior,
     upsweep,
 )
-from .diffusion import SdeConfig, round_to_states, sample_image_sde, sampled_law_distance
+from .diffusion import SdeConfig, law_distance, sampled_law
 from .encoders import (
     canonical_encoder,
     coarsened_root_encoder,
@@ -41,7 +42,7 @@ from .encoders import (
     constant_score,
     exact_score,
 )
-from .metrics import CSV_COLUMNS, misspec_bp_eval, vlm_divergence, zsc_kl_sweep
+from .metrics import CSV_COLUMNS, MISSPEC_TASKS, misspec_bp_eval, vlm_divergence, zsc_kl_sweep
 from .model import (
     JghmModel,
     ModelError,
@@ -54,7 +55,6 @@ from .model import (
 )
 from .oracle import (
     BudgetExceeded,
-    encode_leaves,
     enumerate_joint,
     exact_conditional_root,
     exact_denoiser,
@@ -62,7 +62,7 @@ from .oracle import (
 )
 from .presets import diffusion_model, micro_model, reference_model
 from .rng import stream
-from .sampler import NoisyImage, sample_joint
+from .sampler import noise_image, sample_joint
 
 BUILD_ID = f"jghm-lab-{__version__}"
 
@@ -83,6 +83,13 @@ def _load_config(path):
 def _config_hash(cfg) -> str:
     data = json.dumps(cfg, sort_keys=True, separators=(",", ":")).encode()
     return hashlib.sha256(data).hexdigest()[:16]
+
+
+def _count(name, value, minimum=1) -> int:
+    """A config count of at least `minimum`; bools and floats are rejected."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+        raise ConfigError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    return value
 
 
 def _topology(cfg) -> TreeTopology:
@@ -110,7 +117,11 @@ def _gen_spec(cfg, p_flip=None) -> ModelGenSpec:
 
 def _resolve_model(cfg, p_flip=None) -> JghmModel:
     if "model_path" in cfg:
-        model = model_from_json(Path(cfg["model_path"]).read_text())
+        try:
+            text = Path(cfg["model_path"]).read_text()
+        except OSError as e:
+            raise ConfigError(f"cannot read model_path {cfg['model_path']}: {e}") from e
+        model = model_from_json(text)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             validate_model(model)  # corrupted files fail with the named invariant
@@ -168,10 +179,8 @@ def cmd_gen_model(args) -> int:
     return 0
 
 
-def _sweep_point(cfg, task, train_model, test_p, seed):
+def _sweep_point(cfg, task, train_model, test_p, kwargs):
     test_model = make_pflip_model(_gen_spec(cfg, p_flip=test_p))
-    kwargs = {"n": cfg.get("n", 2000), "seed": seed, "K": cfg.get("K", 8),
-              "t": cfg.get("t", 1.0)}
     bayes = misspec_bp_eval(test_model, test_model, task, **kwargs)
     rows = [bayes.risk]
     if train_model is not None:
@@ -183,19 +192,21 @@ def _sweep_point(cfg, task, train_model, test_p, seed):
 def cmd_sweep(args) -> int:
     cfg = _load_config(args.config)
     task = cfg.get("task")
-    if task not in ("clip", "zsc", "cdm", "vlm"):
-        raise ConfigError(f"unknown task {task!r}")
+    if task not in MISSPEC_TASKS:
+        raise ConfigError(f"unknown task {task!r}; expected {', '.join(MISSPEC_TASKS)}")
     p_list = cfg.get("p_flip_list")
     if not p_list:
         raise ConfigError("sweep config needs a non-empty p_flip_list")
     seed = args.seed if args.seed is not None else cfg.get("seed", 0)
+    kwargs = {"n": _count("n", cfg.get("n", 2000)), "seed": seed,
+              "K": _count("K", cfg.get("K", 8), minimum=2), "t": cfg.get("t", 1.0)}
     train_model = None
     train_p = cfg.get("train_p_flip", 0.2 if cfg.get("ood") else None)
     if train_p is not None:
         train_model = make_pflip_model(_gen_spec(cfg, p_flip=train_p))
 
     def run_point(p):
-        return _sweep_point(cfg, task, train_model, p, seed)
+        return _sweep_point(cfg, task, train_model, p, kwargs)
 
     if args.threads > 1:
         with ThreadPoolExecutor(max_workers=args.threads) as pool:
@@ -209,17 +220,22 @@ def cmd_sweep(args) -> int:
 
 def cmd_zsc(args) -> int:
     cfg = _load_config(args.config)
+    n = _count("n", cfg.get("n", 2000))
+    m_list = cfg.get("M_list", [cfg.get("M", 64)])
+    if not isinstance(m_list, list) or not m_list:
+        raise ConfigError(f"M_list must be a non-empty list, got {m_list!r}")
+    m_list = [_count("M", m) for m in m_list]
     model = _resolve_model(cfg)
     seed = args.seed if args.seed is not None else cfg.get("seed", 0)
     score = _resolve_score(cfg.get("score", "exact"), model)
-    m_list = cfg.get("M_list", [cfg.get("M", 64)])
-    reports = zsc_kl_sweep(model, score, m_list, cfg.get("n", 2000), seed)
+    reports = zsc_kl_sweep(model, score, m_list, n, seed)
     _write_reports(Path(args.out or ".") / "zsc.csv", reports, seed, cfg)
     return 0
 
 
 def cmd_cdm_sample(args) -> int:
     cfg = _load_config(args.config)
+    n_paths = _count("n_paths", cfg.get("n_paths", 2000))
     model = _resolve_model(cfg)
     seed = args.seed if args.seed is not None else cfg.get("seed", 0)
     if "text" in cfg:
@@ -228,28 +244,22 @@ def cmd_cdm_sample(args) -> int:
         x_tx = sample_joint(model, stream(seed, "cdm-sample-text")).x_tx
     sde = SdeConfig(
         horizon=cfg.get("T", 20.0), dt=cfg.get("dt", 0.01),
-        n_paths=cfg.get("n_paths", 2000), seed=seed,
+        n_paths=n_paths, seed=seed,
     )
     drift_model = None
     if "train_p_flip" in cfg:
         drift_model = make_pflip_model(_gen_spec(cfg, p_flip=cfg["train_p_flip"]))
-    report = sampled_law_distance(model, x_tx, sde, drift_model=drift_model)
+    counts, cond = sampled_law(model, x_tx, sde, drift_model=drift_model)
     out_dir = Path(args.out or ".")
-    _write_reports(out_dir / "cdm_sample.csv", [report], seed, cfg)
-
-    samples = round_to_states(sample_image_sde(model, x_tx, sde, drift_model=drift_model),
-                              model.n_states)
-    counts = np.bincount(encode_leaves(samples, model.n_states),
-                         minlength=model.n_states ** model.topology.d_im)
-    table = enumerate_joint(model)
-    cond = table.joint[:, table.index("tx", x_tx)]
+    _write_reports(out_dir / "cdm_sample.csv", [law_distance(counts, cond, sde, drift_model)],
+                   seed, cfg)
     hist = {
         "build": BUILD_ID,
         "seed": seed,
         "config_hash": _config_hash(cfg),
         "text": x_tx.tolist(),
         "counts": counts.tolist(),
-        "oracle_conditional": (cond / cond.sum()).tolist(),
+        "oracle_conditional": cond.tolist(),
     }
     (out_dir / "histogram.json").write_text(json.dumps(hist, sort_keys=True))
     print(f"wrote {out_dir / 'histogram.json'}")
@@ -276,9 +286,9 @@ def _stack_to_lists(stack):
 
 def cmd_export_dataset(args) -> int:
     cfg = _load_config(args.config)
+    n = _count("n", cfg.get("n", 10))
     model = _resolve_model(cfg)
     seed = args.seed if args.seed is not None else cfg.get("seed", 0)
-    n = cfg.get("n", 10)
     noise_t = cfg.get("noise_t")
     out = Path(args.out or ".") / "dataset.jsonl"
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -311,8 +321,7 @@ def cmd_export_dataset(args) -> int:
                     for modality in ("im", "tx")
                 }
             if noise_t is not None:
-                g = rng.standard_normal(model.topology.d_im)
-                z = noise_t * s.x_im + np.sqrt(noise_t) * g
+                z = noise_image(s.x_im, noise_t, rng).z
                 record["noisy"] = {"t": noise_t, "z": z.tolist()}
                 if args.with_messages:
                     ev = leaf_evidence_from_noise(z, noise_t, model.n_states)
@@ -344,12 +353,9 @@ def _selftest_bp_vs_oracle(model, label, failures):
         got = optimal_score(model, s.x_im, s.x_tx)
         ok &= (np.isneginf(ref) and np.isneginf(got)) or abs(got - ref) < 1e-8
         for t in (0.0, 1.0):
-            z = t * s.x_im + np.sqrt(t) * rng.standard_normal(model.topology.d_im)
-            from .bp import bayes_denoiser
-
+            noisy = noise_image(s.x_im, t, rng)
             ok &= np.abs(
-                bayes_denoiser(model, NoisyImage(t=t, z=z), s.x_tx)
-                - exact_denoiser(model, z, t, s.x_tx, table)
+                bayes_denoiser(model, noisy, s.x_tx) - exact_denoiser(model, noisy.z, t, s.x_tx, table)
             ).max() < 1e-8
         par = next_token_posteriors_parallel(model, s.x_im, s.x_tx)
         for i_pre in range(model.topology.d_tx):
@@ -402,6 +408,7 @@ def cmd_selftest(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="jghm", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    commands = {}
     for name, fn, needs_config in (
         ("gen-model", cmd_gen_model, True),
         ("sweep", cmd_sweep, True),
@@ -417,8 +424,14 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--config", required=True, help="JSON config path")
         p.add_argument("--seed", type=int, default=None, help="master seed (overrides config)")
         p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--threads", type=int, default=1)
-        p.add_argument("--with-messages", action="store_true")
+        commands[name] = p
+    commands["sweep"].add_argument("--threads", type=int, default=1,
+                                   help="sweep points evaluated in parallel")
+    # cdm-sample runs single-threaded; it accepts --threads so that scripts can
+    # pass the same flags to sweep and cdm-sample.
+    commands["cdm-sample"].add_argument("--threads", type=int, default=1, help="ignored")
+    commands["export-dataset"].add_argument(
+        "--with-messages", action="store_true", help="also export BP message stacks")
     return parser
 
 

@@ -18,7 +18,8 @@ from .metrics import RiskReport
 from .rng import stream
 from .sampler import NoisyImage
 
-__all__ = ["SdeConfig", "sample_image_sde", "round_to_states", "sampled_law_distance"]
+__all__ = ["SdeConfig", "sample_image_sde", "round_to_states", "sampled_law", "law_distance",
+           "sampled_law_distance"]
 
 TRAJ_CHUNK = 2048
 
@@ -82,22 +83,29 @@ def round_to_states(samples: np.ndarray, n_states: int) -> np.ndarray:
     return np.clip(r, 1, n_states)
 
 
-def sampled_law_distance(model: JghmModel, x_tx: np.ndarray, cfg: SdeConfig,
-                         drift_model: JghmModel = None, budget: int = DEFAULT_BUDGET,
-                         n_bootstrap: int = 200) -> RiskReport:
-    """Total variation between the rounded SDE output law and the exact
-    conditional P(x_im | x_tx); the standard error is a multinomial bootstrap."""
+def sampled_law(model: JghmModel, x_tx: np.ndarray, cfg: SdeConfig,
+                drift_model: JghmModel = None, budget: int = DEFAULT_BUDGET):
+    """One SDE run rounded to the state grid, with its exact target.
+
+    Returns (counts, cond): the number of trajectories ending at each image
+    tuple (integer, in enumeration order) and the exact conditional
+    P(x_im | x_tx) over the same tuples.
+    """
     table = enumerate_joint(model, budget)
-    j = table.index("tx", x_tx)
-    col = table.joint[:, j]
+    col = table.joint[:, table.index("tx", x_tx)]
     if col.sum() == 0:
         raise ModelError("conditioning text has zero probability")
     cond = col / col.sum()
+    rounded = round_to_states(sample_image_sde(model, x_tx, cfg, drift_model=drift_model),
+                              model.n_states)
+    return np.bincount(encode_leaves(rounded, model.n_states), minlength=len(cond)), cond
 
-    samples = sample_image_sde(model, x_tx, cfg, drift_model=drift_model)
-    rounded = round_to_states(samples, model.n_states)
-    idx = encode_leaves(rounded, model.n_states)
-    counts = np.bincount(idx, minlength=len(cond)).astype(float)
+
+def law_distance(counts: np.ndarray, cond: np.ndarray, cfg: SdeConfig,
+                 drift_model: JghmModel = None, n_bootstrap: int = 200) -> RiskReport:
+    """Total variation between the empirical law of `counts` and `cond`; the
+    standard error is a multinomial bootstrap."""
+    counts = np.asarray(counts, dtype=float)
     emp = counts / counts.sum()
     tv = 0.5 * float(np.abs(emp - cond).sum())
 
@@ -114,3 +122,12 @@ def sampled_law_distance(model: JghmModel, x_tx: np.ndarray, cfg: SdeConfig,
         "drift": "exact" if drift_model is None else "misspecified",
     }
     return RiskReport("sde_tv", tv, se, cfg.n_paths, meta)
+
+
+def sampled_law_distance(model: JghmModel, x_tx: np.ndarray, cfg: SdeConfig,
+                         drift_model: JghmModel = None, budget: int = DEFAULT_BUDGET,
+                         n_bootstrap: int = 200) -> RiskReport:
+    """Total variation between the rounded SDE output law and the exact
+    conditional P(x_im | x_tx); the standard error is a multinomial bootstrap."""
+    counts, cond = sampled_law(model, x_tx, cfg, drift_model, budget)
+    return law_distance(counts, cond, cfg, drift_model, n_bootstrap)

@@ -4,13 +4,15 @@ An encoder maps a batch of leaf tuples to finite real vectors and declares a
 quantization precision; downstream sufficiency computations group inputs into
 fibers by exact equality of the quantized outputs.
 
-Scores are log-bilinear: score(x_im, x_tx) = log <feat_im(x_im), feat_tx(x_tx)>.
-The canonical separator features (root posterior over prior) make this form
-exactly the pointwise mutual information; lossy variants coarsen or truncate
-the features first.
+Scores are log-bilinear in transforms of the two root posteriors:
+score(x_im, x_tx) = log <im(P(s | x_im)), tx(P(s | x_tx))>. Dividing one
+side by the prior (the canonical separator features) makes this form exactly
+the pointwise mutual information; the lossy variant merges root states
+first. Encoders apply the same named transforms.
 """
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -47,25 +49,30 @@ class Encoder:
         return np.round(out, self.precision)
 
 
+def _over_prior(p: np.ndarray, prior: np.ndarray) -> np.ndarray:
+    """Separator features P(s | leaves) / P(s) from a root posterior."""
+    return p / prior
+
+
+def _merge_posterior(p: np.ndarray, merge) -> np.ndarray:
+    """Posterior with the `merge` states pooled into one leading state."""
+    merged_col = p[..., [m - 1 for m in merge]].sum(axis=-1, keepdims=True)
+    keep = [s for s in range(p.shape[-1]) if s + 1 not in merge]
+    out = np.concatenate([merged_col, p[..., keep]], axis=-1)
+    return out / out.sum(axis=-1, keepdims=True)
+
+
 def canonical_encoder(model: JghmModel, modality: str) -> Encoder:
     """Separator features P(s | leaves) / P(s): the exact sufficient encoder.
 
     The prior-weighted inner product of the two modalities' outputs equals
     exp(optimal score).
     """
-    prior = model.root_prior
 
     def fn(leaves):
-        return root_posterior(model, modality, leaves) / prior
+        return _over_prior(root_posterior(model, modality, leaves), model.root_prior)
 
     return Encoder(name=f"canonical-{modality}", fn=fn)
-
-
-def _merge_posterior(p: np.ndarray, merge) -> np.ndarray:
-    merged_col = p[..., [m - 1 for m in merge]].sum(axis=-1, keepdims=True)
-    keep = [s for s in range(p.shape[-1]) if s + 1 not in merge]
-    out = np.concatenate([merged_col, p[..., keep]], axis=-1)
-    return out / out.sum(axis=-1, keepdims=True)
 
 
 def coarsened_root_encoder(model: JghmModel, modality: str, merge=(1, 2),
@@ -111,33 +118,32 @@ def prefix_text_encoder(model: JghmModel, n_observed: int = None) -> Encoder:
 
 @dataclass(frozen=True)
 class BilinearScore:
-    """score(x_im, x_tx) = log <feat_im(x_im), feat_tx(x_tx)>, optionally
-    clamped to [-clamp, clamp]. Feature maps must return nonnegative vectors.
+    """score(x_im, x_tx) = log <im(p_im), tx(p_tx)>, optionally clamped to
+    [-clamp, clamp], where p_im and p_tx are the root posteriors of `model`
+    given each modality's leaves and `im`/`tx` map them to nonnegative
+    feature vectors.
 
-    Scores whose features are functions of the root posterior also carry
-    `posterior_model` and per-modality posterior transforms, letting batch
-    evaluators share one posterior computation across several scores.
+    Without a model the posterior is a point mass on a single root state, so
+    the score carries no information: it is constant and evaluators may use
+    its exact value.
     """
 
     name: str
-    feat_im: callable
-    feat_tx: callable
+    model: JghmModel
+    im: callable
+    tx: callable
     clamp: float = None
-    is_constant: bool = False
-    constant_value: float = 0.0
-    posterior_model: JghmModel = None
-    post_im: callable = None
-    post_tx: callable = None
+
+    def posterior(self, modality: str, leaves: np.ndarray) -> np.ndarray:
+        if self.model is None:
+            return np.ones(np.shape(leaves)[:-1] + (1,))
+        return root_posterior(self.model, modality, leaves)
+
+    def transform(self, modality: str):
+        return self.im if modality == "im" else self.tx
 
     def features(self, modality: str, leaves: np.ndarray) -> np.ndarray:
-        fn = self.feat_im if modality == "im" else self.feat_tx
-        return np.asarray(fn(np.asarray(leaves)), dtype=float)
-
-    def posterior_transform(self, modality: str):
-        return self.post_im if modality == "im" else self.post_tx
-
-    def features_from_posterior(self, modality: str, posterior: np.ndarray) -> np.ndarray:
-        return np.asarray(self.posterior_transform(modality)(posterior), dtype=float)
+        return self.transform(modality)(self.posterior(modality, leaves))
 
     def from_features(self, f_im: np.ndarray, f_tx: np.ndarray) -> np.ndarray:
         with np.errstate(divide="ignore"):
@@ -150,25 +156,15 @@ class BilinearScore:
         return self.from_features(self.features("im", x_im), self.features("tx", x_tx))
 
 
+def _identity(p: np.ndarray) -> np.ndarray:
+    return p
+
+
 def exact_score(model: JghmModel, clamp: float = None) -> BilinearScore:
-    """The optimal similarity score, assembled from the canonical encoders."""
-    prior = model.root_prior
-
-    def post_im(p):
-        return p
-
-    def post_tx(p):
-        return p / prior
-
-    return BilinearScore(
-        name="exact",
-        feat_im=lambda leaves: post_im(root_posterior(model, "im", leaves)),
-        feat_tx=lambda leaves: post_tx(root_posterior(model, "tx", leaves)),
-        clamp=clamp,
-        posterior_model=model,
-        post_im=post_im,
-        post_tx=post_tx,
-    )
+    """The optimal similarity score: <P(s | x_im), P(s | x_tx) / P(s)> is
+    P(x_im, x_tx) / (P(x_im) P(x_tx))."""
+    return BilinearScore("exact", model, _identity,
+                         partial(_over_prior, prior=model.root_prior), clamp)
 
 
 def coarsened_score(model: JghmModel, merge=(1, 2), clamp: float = None) -> BilinearScore:
@@ -176,38 +172,16 @@ def coarsened_score(model: JghmModel, merge=(1, 2), clamp: float = None) -> Bili
     merged-state separator, strictly less informative than the exact one."""
     merged_prior = _merge_posterior(model.root_prior[None, :], merge)[0]
 
-    def post_im(p):
-        return _merge_posterior(p, merge)
+    def tx(p):
+        return _over_prior(_merge_posterior(p, merge), merged_prior)
 
-    def post_tx(p):
-        return _merge_posterior(p, merge) / merged_prior
-
-    return BilinearScore(
-        name="coarsened",
-        feat_im=lambda leaves: post_im(root_posterior(model, "im", leaves)),
-        feat_tx=lambda leaves: post_tx(root_posterior(model, "tx", leaves)),
-        clamp=clamp,
-        posterior_model=model,
-        post_im=post_im,
-        post_tx=post_tx,
-    )
+    return BilinearScore("coarsened", model, partial(_merge_posterior, merge=merge), tx, clamp)
 
 
 def constant_score(value: float = 0.0) -> BilinearScore:
     """score == value everywhere; useful as an uninformative baseline."""
 
-    def feat_im(leaves):
-        leaves = np.asarray(leaves)
-        return np.ones(leaves.shape[:-1] + (1,))
+    def tx(p):
+        return p * np.exp(value)
 
-    def feat_tx(leaves):
-        leaves = np.asarray(leaves)
-        return np.full(leaves.shape[:-1] + (1,), np.exp(value))
-
-    return BilinearScore(
-        name="constant",
-        feat_im=feat_im,
-        feat_tx=feat_tx,
-        is_constant=True,
-        constant_value=value,
-    )
+    return BilinearScore("constant", None, _identity, tx)

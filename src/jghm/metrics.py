@@ -24,7 +24,7 @@ from .oracle import (
     score_matrix,
 )
 from .rng import stream
-from .sampler import NoisyImage, sample_joint_batch, sample_marginal_leaves, sample_text_for_class
+from .sampler import noise_image, sample_contrastive_rows, sample_joint_batch, sample_text_for_class
 from .encoders import exact_score
 
 __all__ = [
@@ -40,6 +40,7 @@ __all__ = [
     "vlm_divergence",
     "misspec_bp_eval",
     "MisspecResult",
+    "MISSPEC_TASKS",
 ]
 
 CHUNK = 1024
@@ -96,41 +97,35 @@ def _logsumexp(a: np.ndarray, axis=-1):
 
 
 def _score_features(score, modality: str, leaves: np.ndarray, cache: dict) -> np.ndarray:
-    """Score features with one shared posterior computation per (model,
-    modality) among posterior-based scores."""
-    if score.posterior_transform(modality) is None or score.posterior_model is None:
-        return score.features(modality, leaves)
-    key = (id(score.posterior_model), modality)
+    """Score features with one posterior computation per (model, modality)
+    shared by every score in `cache`'s chunk."""
+    key = (id(score.model), modality)
     if key not in cache:
-        cache[key] = root_posterior(score.posterior_model, modality, leaves)
-    return score.features_from_posterior(modality, cache[key])
+        cache[key] = score.posterior(modality, leaves)
+    return score.transform(modality)(cache[key])
+
+
+def _contrastive_batch_losses(data_model: JghmModel, scores, K: int, B: int, rng) -> np.ndarray:
+    """Symmetric InfoNCE loss of each score on B common batches: (B, len(scores))."""
+    images, texts = sample_contrastive_rows(data_model, K, B, rng)
+    losses = np.empty((B, len(scores)))
+    cache = {}
+    for k, score in enumerate(scores):
+        f_im = _score_features(score, "im", images, cache)
+        f_tx = _score_features(score, "tx", texts, cache)
+        logits_tx = score.from_features(f_im[:, :1], f_tx)  # (B, K)
+        logits_im = score.from_features(f_im, f_tx[:, :1])
+        p = logits_tx[:, 0]
+        losses[:, k] = (_logsumexp(logits_tx) - p) + (_logsumexp(logits_im) - p)
+    return losses
 
 
 def _contrastive_losses(data_model: JghmModel, scores, K: int, n: int, seed: int, purpose: str):
-    """Per-batch InfoNCE losses for each score on common batches: (n, len(scores)).
-
-    The positive pair comes from the joint; each negative side is a fresh
-    marginal draw (the same law as discarding one side of an independent
-    joint sample).
-    """
-    d_im, d_tx = data_model.topology.d_im, data_model.topology.d_tx
+    """Per-batch InfoNCE losses for each score on n common batches: (n, len(scores))."""
     losses = np.empty((n, len(scores)))
     for c, lo, hi in _chunks(n):
-        B = hi - lo
-        rng = stream(seed, purpose, K, c)
-        pos = sample_joint_batch(data_model, B, rng)
-        neg_im = sample_marginal_leaves(data_model, "im", B * (K - 1), rng)
-        neg_tx = sample_marginal_leaves(data_model, "tx", B * (K - 1), rng)
-        images = np.concatenate([pos.x_im[:, None, :], neg_im.reshape(B, K - 1, d_im)], axis=1)
-        texts = np.concatenate([pos.x_tx[:, None, :], neg_tx.reshape(B, K - 1, d_tx)], axis=1)
-        cache = {}
-        for k, score in enumerate(scores):
-            f_im = _score_features(score, "im", images, cache)
-            f_tx = _score_features(score, "tx", texts, cache)
-            logits_tx = score.from_features(f_im[:, :1], f_tx)  # (B, K)
-            logits_im = score.from_features(f_im, f_tx[:, :1])
-            p = logits_tx[:, 0]
-            losses[lo:hi, k] = (_logsumexp(logits_tx) - p) + (_logsumexp(logits_im) - p)
+        losses[lo:hi] = _contrastive_batch_losses(
+            data_model, scores, K, hi - lo, stream(seed, purpose, K, c))
     return losses
 
 
@@ -142,7 +137,7 @@ def clip_risk(model: JghmModel, score, K: int, n: int, seed: int) -> RiskReport:
     if K < 2 or n < 1:
         raise ModelError("clip_risk needs K >= 2 and n >= 1")
     meta = {"K": K, "seed": seed, "score": score.name}
-    if getattr(score, "is_constant", False):
+    if score.model is None:
         return RiskReport("clip_risk", 2.0 * math.log(K), 0.0, n, meta)
     losses = _contrastive_losses(model, [score], K, n, seed, "clip-risk")[:, 0]
     est, se = _mean_se(losses)
@@ -159,11 +154,9 @@ def clip_excess_and_mi_limit(model: JghmModel, score, K_list, n: int, seed: int)
     reports = []
     for K in K_list:
         losses = _contrastive_losses(model, [star, score], K, n, seed, "clip-excess")
-        mi_est = math.log(K) - 0.5 * float(losses[:, 0].mean())
-        mi_se = 0.5 * float(losses[:, 0].std(ddof=1) / math.sqrt(n))
-        reports.append(
-            RiskReport("mi_limit", mi_est, mi_se, n, {"K": K, "seed": seed, "score": star.name})
-        )
+        star_mean, star_se = _mean_se(losses[:, 0])
+        reports.append(RiskReport("mi_limit", math.log(K) - 0.5 * star_mean, 0.5 * star_se, n,
+                                  {"K": K, "seed": seed, "score": star.name}))
         diff = losses[:, 1] - losses[:, 0]
         est, se = _mean_se(diff)
         reports.append(
@@ -177,21 +170,23 @@ def clip_excess_and_mi_limit(model: JghmModel, score, K_list, n: int, seed: int)
 # ---------------------------------------------------------------------------
 
 
-def _zsc_predict_batch(class_model: JghmModel, score, images: np.ndarray, M: int, rng):
-    """Predicted class distribution (B, S) from M class-conditioned texts.
+def _class_pair_scores(class_model: JghmModel, score, images: np.ndarray, M: int, rng):
+    """Scores (B, S, M) of each image against M texts drawn for each class."""
+    B, S = images.shape[0], class_model.n_states
+    f_im = score.features("im", images)[:, None, :]  # (B, 1, p)
+    pair = np.empty((B, S, M))
+    for y in range(1, S + 1):
+        texts = sample_text_for_class(class_model, y, rng, size=B * M).reshape(B, M, -1)
+        pair[:, y - 1, :] = score.from_features(f_im, score.features("tx", texts))
+    return pair
+
+
+def _class_prediction(pair: np.ndarray, log_prior: np.ndarray) -> np.ndarray:
+    """Predicted class distribution (B, S) from pair scores (B, S, M).
 
     Classes with all -inf aggregated scores receive zero mass.
     """
-    S = class_model.n_states
-    B = images.shape[0]
-    f_im = score.features("im", images)  # (B, p)
-    logits = np.empty((B, S))
-    log_prior = np.log(class_model.root_prior)
-    for y in range(1, S + 1):
-        texts = sample_text_for_class(class_model, y, rng, size=B * M).reshape(B, M, -1)
-        f_tx = score.features("tx", texts)  # (B, M, p)
-        pair = score.from_features(f_im[:, None, :], f_tx)  # (B, M)
-        logits[:, y - 1] = _logsumexp(pair) - math.log(M) + log_prior[y - 1]
+    logits = _logsumexp(pair, axis=-1) - math.log(pair.shape[-1]) + log_prior
     m = logits.max(axis=1, keepdims=True)
     if not np.all(m > -np.inf):
         raise ModelError("every class has zero aggregated score mass")
@@ -203,7 +198,8 @@ def zsc_predict(model: JghmModel, score, x_im: np.ndarray, M: int, rng) -> np.nd
     """Class posterior for one image from the aggregated-score classifier."""
     if M < 1:
         raise ModelError("zsc_predict needs M >= 1")
-    return _zsc_predict_batch(model, score, np.asarray(x_im)[None, :], M, rng)[0]
+    pair = _class_pair_scores(model, score, np.asarray(x_im)[None, :], M, rng)
+    return _class_prediction(pair, np.log(model.root_prior))[0]
 
 
 def zsc_infinite_sample_predict(model: JghmModel, score, x_im, table: JointTable = None) -> np.ndarray:
@@ -244,28 +240,15 @@ def zsc_kl_sweep(model: JghmModel, score, M_list, n: int, seed: int):
     """
     M_list = list(M_list)
     M_max = max(M_list)
-    S = model.n_states
     log_prior = np.log(model.root_prior)
     kls = {M: np.empty(n) for M in M_list}
     chunk = max(1, min(CHUNK, 65536 // max(1, M_max)))
     for c, lo, hi in _chunks(n, chunk):
-        B = hi - lo
-        rng_img = stream(seed, "zsc-images", c)
-        images = sample_joint_batch(model, B, rng_img).x_im
+        images = sample_joint_batch(model, hi - lo, stream(seed, "zsc-images", c)).x_im
         truth = root_posterior(model, "im", images)
-        f_im = score.features("im", images)
-        rng_tx = stream(seed, "zsc-texts", M_max, c)
-        pair = np.empty((B, S, M_max))
-        for y in range(1, S + 1):
-            texts = sample_text_for_class(model, y, rng_tx, size=B * M_max).reshape(B, M_max, -1)
-            f_tx = score.features("tx", texts)
-            pair[:, y - 1, :] = score.from_features(f_im[:, None, :], f_tx)
+        pair = _class_pair_scores(model, score, images, M_max, stream(seed, "zsc-texts", M_max, c))
         for M in M_list:
-            logits = _logsumexp(pair[:, :, :M], axis=-1) - math.log(M) + log_prior
-            m = logits.max(axis=1, keepdims=True)
-            p = np.exp(logits - m)
-            p /= p.sum(axis=1, keepdims=True)
-            kls[M][lo:hi] = _kl_rows(truth, p)
+            kls[M][lo:hi] = _kl_rows(truth, _class_prediction(pair[:, :, :M], log_prior))
     reports = []
     for M in M_list:
         est, se = _mean_se(kls[M])
@@ -291,7 +274,6 @@ def cdm_estimation_error(model: JghmModel, encoder, t: float = 1.0, n: int = 100
     """
     if table is None:
         table = enumerate_joint(model, budget)
-    topo = model.topology
     ids, n_fibers = encoder_fibers(encoder, table.tuples_tx)
     onehot = np.zeros((len(ids), n_fibers))
     onehot[np.arange(len(ids)), ids] = 1.0
@@ -301,17 +283,15 @@ def cdm_estimation_error(model: JghmModel, encoder, t: float = 1.0, n: int = 100
 
     errs = np.empty(n)
     for c, lo, hi in _chunks(n):
-        B = hi - lo
         rng = stream(seed, "cdm", c)
-        draws = sample_joint_batch(model, B, rng)
-        g = rng.standard_normal((B, topo.d_im))
-        z = t * draws.x_im.astype(float) + math.sqrt(t) * g
-        m_star = bayes_denoiser(model, NoisyImage(t=t, z=z), draws.x_tx)
+        draws = sample_joint_batch(model, hi - lo, rng)
+        noisy = noise_image(draws.x_im, t, rng)
+        m_star = bayes_denoiser(model, noisy, draws.x_tx)
         f = ids[table.index("tx", draws.x_tx)]
         with np.errstate(divide="ignore"):
             logw = np.log(im_fiber[:, f].T)  # (B, N_im)
         if t > 0:
-            logw = logw + z @ x_all.T - t * np.sum(x_all**2, axis=1) / 2.0
+            logw = logw + noisy.z @ x_all.T - t * np.sum(x_all**2, axis=1) / 2.0
         logw -= logw.max(axis=1, keepdims=True)
         w = np.exp(logw)
         w /= w.sum(axis=1, keepdims=True)
@@ -421,96 +401,73 @@ def _tag(meta, train_model, test_model, seed):
     return out
 
 
+def _clip_losses(train_model, test_model, B, c, seed, K, t):
+    scores = [exact_score(test_model), exact_score(train_model)]
+    losses = _contrastive_batch_losses(
+        test_model, scores, K, B, stream(seed, "misspec-clip", K, c))
+    return losses[:, 1], losses[:, 0]
+
+
+def _zsc_losses(train_model, test_model, B, c, seed, K, t):
+    # Bayes-optimal class prediction is the root posterior itself; the
+    # mismatched predictor runs the same inference with the train kernels.
+    draws = sample_joint_batch(test_model, B, stream(seed, "misspec-zsc-data", c))
+    idx = (np.arange(B), draws.root - 1)
+    with np.errstate(divide="ignore"):
+        return tuple(-np.log(root_posterior(model, "im", draws.x_im)[idx])
+                     for model in (train_model, test_model))
+
+
+def _cdm_losses(train_model, test_model, B, c, seed, K, t):
+    rng = stream(seed, "misspec-cdm", c)
+    draws = sample_joint_batch(test_model, B, rng)
+    noisy = noise_image(draws.x_im, t, rng)
+    x = draws.x_im.astype(float)
+    return tuple(((x - bayes_denoiser(model, noisy, draws.x_tx)) ** 2).mean(axis=1)
+                 for model in (train_model, test_model))
+
+
+def _vlm_losses(train_model, test_model, B, c, seed, K, t):
+    draws = sample_joint_batch(test_model, B, stream(seed, "misspec-vlm", c))
+    nlls = []
+    for model in (train_model, test_model):
+        post = next_token_posteriors_parallel(model, draws.x_im, draws.x_tx)
+        tok = np.take_along_axis(post, (draws.x_tx - 1)[..., None], axis=-1)[..., 0]
+        with np.errstate(divide="ignore"):
+            nlls.append(-np.log(tok).mean(axis=-1))
+    return tuple(nlls)
+
+
+# task -> (paired per-row losses (train, test) of one chunk, risk report name,
+#          excess report name, evaluation parameters carried in the metadata)
+MISSPEC_TASKS = {
+    "clip": (_clip_losses, "clip_risk", "clip_excess", ("K",)),
+    "zsc": (_zsc_losses, "zsc_logloss", "zsc_excess", ()),
+    "cdm": (_cdm_losses, "cdm_risk", "cdm_excess", ("t",)),
+    "vlm": (_vlm_losses, "vlm_risk", "vlm_excess", ()),
+}
+
+
 def misspec_bp_eval(train_model: JghmModel, test_model: JghmModel, task: str,
                     n: int = 100_000, seed: int = 0, K: int = 8,
                     t: float = 1.0) -> MisspecResult:
     """Evaluate exact inference parameterized by `train_model` on data drawn
     from `test_model`, with the matched-model predictor as the paired
-    baseline. Supported tasks: 'clip', 'zsc', 'cdm', 'vlm'.
+    baseline. Supported tasks: the keys of MISSPEC_TASKS.
 
     All predictor randomness shares stream keys across the two predictors,
     so at train == test the excess is identically zero.
     """
-    if task == "clip":
-        losses = _contrastive_losses(
-            test_model, [exact_score(test_model), exact_score(train_model)], K, n, seed,
-            "misspec-clip",
-        )
-        risk_est, risk_se = _mean_se(losses[:, 1])
-        exc_est, exc_se = _mean_se(losses[:, 1] - losses[:, 0])
-        meta = _tag({"K": K}, train_model, test_model, seed)
-        return MisspecResult(
-            RiskReport("clip_risk", risk_est, risk_se, n, meta),
-            RiskReport("clip_excess", exc_est, exc_se, n, meta),
-        )
-
-    if task == "zsc":
-        # Bayes-optimal class prediction is the root posterior itself; the
-        # mismatched predictor runs the same inference with the train kernels.
-        nll_train = np.empty(n)
-        nll_test = np.empty(n)
-        for c, lo, hi in _chunks(n):
-            B = hi - lo
-            draws = sample_joint_batch(test_model, B, stream(seed, "misspec-zsc-data", c))
-            idx = (np.arange(B), draws.root - 1)
-            with np.errstate(divide="ignore"):
-                nll_train[lo:hi] = -np.log(root_posterior(train_model, "im", draws.x_im)[idx])
-                nll_test[lo:hi] = -np.log(root_posterior(test_model, "im", draws.x_im)[idx])
-        risk_est, risk_se = _mean_se(nll_train)
-        exc_est, exc_se = _mean_se(nll_train - nll_test)
-        meta = _tag({}, train_model, test_model, seed)
-        return MisspecResult(
-            RiskReport("zsc_logloss", risk_est, risk_se, n, meta),
-            RiskReport("zsc_excess", exc_est, exc_se, n, meta),
-        )
-
-    if task == "cdm":
-        d_im = test_model.topology.d_im
-        risk = np.empty(n)
-        diff = np.empty(n)
-        for c, lo, hi in _chunks(n):
-            B = hi - lo
-            rng = stream(seed, "misspec-cdm", c)
-            draws = sample_joint_batch(test_model, B, rng)
-            g = rng.standard_normal((B, d_im))
-            x = draws.x_im.astype(float)
-            noisy = NoisyImage(t=t, z=t * x + math.sqrt(t) * g)
-            m_train = bayes_denoiser(train_model, noisy, draws.x_tx)
-            m_test = bayes_denoiser(test_model, noisy, draws.x_tx)
-            risk[lo:hi] = ((x - m_train) ** 2).mean(axis=1)
-            diff[lo:hi] = risk[lo:hi] - ((x - m_test) ** 2).mean(axis=1)
-        risk_est, risk_se = _mean_se(risk)
-        exc_est, exc_se = _mean_se(diff)
-        meta = _tag({"t": t}, train_model, test_model, seed)
-        return MisspecResult(
-            RiskReport("cdm_risk", risk_est, risk_se, n, meta),
-            RiskReport("cdm_excess", exc_est, exc_se, n, meta),
-        )
-
-    if task == "vlm":
-        d_tx = test_model.topology.d_tx
-        risk = np.empty(n)
-        diff = np.empty(n)
-        for c, lo, hi in _chunks(n):
-            B = hi - lo
-            rng = stream(seed, "misspec-vlm", c)
-            draws = sample_joint_batch(test_model, B, rng)
-            nlls = []
-            for model in (train_model, test_model):
-                post = next_token_posteriors_parallel(model, draws.x_im, draws.x_tx)
-                tok = np.take_along_axis(
-                    post, (draws.x_tx - 1)[..., None], axis=-1
-                )[..., 0]
-                with np.errstate(divide="ignore"):
-                    nlls.append(-np.log(tok).mean(axis=-1))
-            risk[lo:hi] = nlls[0]
-            diff[lo:hi] = nlls[0] - nlls[1]
-        risk_est, risk_se = _mean_se(risk)
-        exc_est, exc_se = _mean_se(diff)
-        meta = _tag({}, train_model, test_model, seed)
-        return MisspecResult(
-            RiskReport("vlm_risk", risk_est, risk_se, n, meta),
-            RiskReport("vlm_excess", exc_est, exc_se, n, meta),
-        )
-
-    raise ModelError(f"unknown task {task!r}; expected clip, zsc, cdm or vlm")
+    if task not in MISSPEC_TASKS:
+        raise ModelError(f"unknown task {task!r}; expected {', '.join(MISSPEC_TASKS)}")
+    paired_losses, risk_name, excess_name, params = MISSPEC_TASKS[task]
+    risk = np.empty(n)
+    diff = np.empty(n)
+    for c, lo, hi in _chunks(n):
+        train, test = paired_losses(train_model, test_model, hi - lo, c, seed, K, t)
+        risk[lo:hi] = train
+        diff[lo:hi] = train - test
+    values = {"K": K, "t": t}
+    meta = _tag({key: values[key] for key in params}, train_model, test_model, seed)
+    return MisspecResult(RiskReport(risk_name, *_mean_se(risk), n, meta),
+                         RiskReport(excess_name, *_mean_se(diff), n, meta))

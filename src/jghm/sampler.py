@@ -18,6 +18,7 @@ __all__ = [
     "sample_joint",
     "sample_joint_batch",
     "sample_contrastive_batch",
+    "sample_contrastive_rows",
     "noise_image",
     "sample_text_for_class",
 ]
@@ -128,18 +129,29 @@ def sample_joint(model: JghmModel, rng: np.random.Generator) -> Sample:
     )
 
 
-def sample_contrastive_batch(model: JghmModel, K: int, rng: np.random.Generator) -> ContrastiveBatch:
-    """Positive pair plus K-1 negatives from the exact product of marginals.
+def sample_contrastive_rows(model: JghmModel, K: int, size: int, rng) -> tuple:
+    """`size` contrastive batches as (images (size, K, d_im), texts (size, K, d_tx)).
 
-    Each negative discards one side of two fresh joint draws, so negatives
-    are independent of the positive pair and of each other.
+    Row 0 of each batch is a joint draw; the K-1 negative images and then the
+    K-1 negative texts are fresh marginal draws (the law of discarding one
+    side of an independent joint sample), so negatives are independent of
+    the positive pair and of each other.
     """
     if K < 2:
         raise ModelError(f"contrastive batch needs K >= 2, got {K}")
-    draws = sample_joint_batch(model, 1 + 2 * (K - 1), rng)
-    images = np.concatenate([draws.x_im[:1], draws.x_im[1:K]])
-    texts = np.concatenate([draws.x_tx[:1], draws.x_tx[K:]])
-    return ContrastiveBatch(images=images, texts=texts)
+    topo = model.topology
+    pos = sample_joint_batch(model, size, rng)
+    neg_im = sample_marginal_leaves(model, "im", size * (K - 1), rng)
+    neg_tx = sample_marginal_leaves(model, "tx", size * (K - 1), rng)
+    images = np.concatenate([pos.x_im[:, None, :], neg_im.reshape(size, K - 1, topo.d_im)], axis=1)
+    texts = np.concatenate([pos.x_tx[:, None, :], neg_tx.reshape(size, K - 1, topo.d_tx)], axis=1)
+    return images, texts
+
+
+def sample_contrastive_batch(model: JghmModel, K: int, rng: np.random.Generator) -> ContrastiveBatch:
+    """Positive pair plus K-1 negatives from the exact product of marginals."""
+    images, texts = sample_contrastive_rows(model, K, 1, rng)
+    return ContrastiveBatch(images=images[0], texts=texts[0])
 
 
 def noise_image(x_im: np.ndarray, t: float, rng: np.random.Generator, g=None) -> NoisyImage:

@@ -203,6 +203,24 @@ class TestOtherCommands:
         assert (workdir / "cd/cdm_sample.csv").exists()
 
 
+@pytest.mark.parametrize("command, cfg", [
+    ("zsc", {"model_path": "missing-model.json", "n": 10}),
+    ("zsc", {"topology": TOPO, "p_flip": 0.3, "n": -3}),
+    ("zsc", {"topology": TOPO, "p_flip": 0.3, "n": "x"}),
+    ("zsc", {"topology": TOPO, "p_flip": 0.3, "n": 0}),
+    ("zsc", {"topology": TOPO, "p_flip": 0.3, "M_list": []}),
+    ("sweep", {"task": "clip", "topology": TOPO, "p_flip_list": [0.2], "K": 1}),
+    ("cdm-sample", {"topology": TOPO, "p_flip": 0.3, "n_paths": True}),
+    ("export-dataset", {"topology": TOPO, "p_flip": 0.3, "n": 2.5}),
+])
+def test_bad_config_exits_2_without_traceback(workdir, command, cfg):
+    path = workdir / "bad.json"
+    path.write_text(json.dumps(cfg))
+    r = run_cli(command, "--config", str(path), "--out", str(workdir / "o"))
+    assert r.returncode == 2
+    assert "Traceback" not in r.stderr and r.stderr.startswith("error: ")
+
+
 def test_selftest_passes():
     r = run_cli("selftest")
     assert r.returncode == 0

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from jghm import optimal_score, sample_joint, sample_joint_batch, stream
+from jghm import clip_risk, optimal_score, sample_joint, sample_joint_batch, stream
 from jghm.encoders import (
     Encoder,
     canonical_encoder,
@@ -76,9 +76,11 @@ class TestScores:
             atol=1e-12,
         )
 
-    def test_constant_score(self):
+    def test_constant_score(self, ref_model):
         sc = constant_score(0.7)
-        assert sc.is_constant
+        assert sc.model is None  # no posterior: evaluators use the exact value
+        r = clip_risk(ref_model, sc, 4, 10, seed=0)
+        assert r.estimate == 2 * np.log(4) and r.se == 0.0
         out = sc(np.array([[1, 1]]), np.array([[2, 2]]))
         assert out[0] == pytest.approx(0.7)
 
@@ -92,15 +94,14 @@ class TestScores:
         sc = exact_score(perm_model, clamp=3.0)
         assert sc(a.x_im, b.x_tx) == -3.0
 
-    def test_features_from_posterior_path(self, ref_model):
+    def test_shared_posterior_features(self, ref_model):
         from jghm.bp import root_posterior
 
-        sc = coarsened_root_encoder  # noqa: F841  (documenting contrast only)
         score = exact_score(ref_model)
         draws = sample_joint_batch(ref_model, 5, stream(5, "fast"))
         post = root_posterior(ref_model, "im", draws.x_im)
         assert np.allclose(
-            score.features_from_posterior("im", post),
+            score.transform("im")(post),
             score.features("im", draws.x_im),
             atol=1e-15,
         )

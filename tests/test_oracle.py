@@ -162,11 +162,6 @@ class TestScoreSufficiency:
 
         class Jittered:
             name = "jittered"
-            posterior_model = None
-            is_constant = False
-
-            def posterior_transform(self, modality):
-                return None
 
             def __call__(self, x_im, x_tx):
                 wiggle = 0.3 * np.sin(np.asarray(x_im).sum(axis=-1).astype(float))
