@@ -62,7 +62,7 @@ from .oracle import (
 )
 from .presets import diffusion_model, micro_model, reference_model
 from .rng import stream
-from .sampler import noise_image, sample_joint
+from .sampler import check_time, noise_image, sample_joint
 
 BUILD_ID = f"jghm-lab-{__version__}"
 
@@ -90,6 +90,31 @@ def _count(name, value, minimum=1) -> int:
     if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
         raise ConfigError(f"{name} must be an integer >= {minimum}, got {value!r}")
     return value
+
+
+def _probability(name, value):
+    """A config probability: a real number in [0, 1]; bools are rejected."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0 <= value <= 1:
+        raise ConfigError(f"{name} must be a real number in [0, 1], got {value!r}")
+    return value
+
+
+def _time(name, value):
+    """A config diffusion time, held to the sampler's rule for t."""
+    try:
+        check_time(value)
+    except ModelError as e:
+        raise ConfigError(f"{name}: {e}") from e
+    return value
+
+
+def _text(value, model) -> np.ndarray:
+    """A config text: a list of d_tx integer states in [1, S]; bools are rejected."""
+    d_tx, S = model.topology.d_tx, model.n_states
+    if not isinstance(value, list) or len(value) != d_tx or any(
+            isinstance(v, bool) or not isinstance(v, int) or not 1 <= v <= S for v in value):
+        raise ConfigError(f"text must be a list of {d_tx} integers in [1, {S}], got {value!r}")
+    return np.asarray(value, dtype=np.int64)
 
 
 def _topology(cfg) -> TreeTopology:
@@ -181,12 +206,10 @@ def cmd_gen_model(args) -> int:
 
 def _sweep_point(cfg, task, train_model, test_p, kwargs):
     test_model = make_pflip_model(_gen_spec(cfg, p_flip=test_p))
-    bayes = misspec_bp_eval(test_model, test_model, task, **kwargs)
-    rows = [bayes.risk]
-    if train_model is not None:
-        ood = misspec_bp_eval(train_model, test_model, task, **kwargs)
-        rows.extend([ood.risk, ood.excess])
-    return rows
+    if train_model is None:
+        return [misspec_bp_eval(test_model, test_model, task, **kwargs).bayes]
+    res = misspec_bp_eval(train_model, test_model, task, **kwargs)
+    return [res.bayes, res.risk, res.excess]
 
 
 def cmd_sweep(args) -> int:
@@ -195,21 +218,23 @@ def cmd_sweep(args) -> int:
     if task not in MISSPEC_TASKS:
         raise ConfigError(f"unknown task {task!r}; expected {', '.join(MISSPEC_TASKS)}")
     p_list = cfg.get("p_flip_list")
-    if not p_list:
-        raise ConfigError("sweep config needs a non-empty p_flip_list")
+    if not isinstance(p_list, list) or not p_list:
+        raise ConfigError(f"sweep config needs a non-empty p_flip_list, got {p_list!r}")
+    p_list = [_probability("p_flip_list entry", p) for p in p_list]
     seed = args.seed if args.seed is not None else cfg.get("seed", 0)
     kwargs = {"n": _count("n", cfg.get("n", 2000)), "seed": seed,
-              "K": _count("K", cfg.get("K", 8), minimum=2), "t": cfg.get("t", 1.0)}
-    train_model = None
+              "K": _count("K", cfg.get("K", 8), minimum=2), "t": _time("t", cfg.get("t", 1.0))}
+    threads = _count("--threads", args.threads)
     train_p = cfg.get("train_p_flip", 0.2 if cfg.get("ood") else None)
+    train_model = None
     if train_p is not None:
-        train_model = make_pflip_model(_gen_spec(cfg, p_flip=train_p))
+        train_model = make_pflip_model(_gen_spec(cfg, p_flip=_probability("train_p_flip", train_p)))
 
     def run_point(p):
         return _sweep_point(cfg, task, train_model, p, kwargs)
 
-    if args.threads > 1:
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(run_point, p_list))
     else:
         results = [run_point(p) for p in p_list]
@@ -239,7 +264,7 @@ def cmd_cdm_sample(args) -> int:
     model = _resolve_model(cfg)
     seed = args.seed if args.seed is not None else cfg.get("seed", 0)
     if "text" in cfg:
-        x_tx = np.asarray(cfg["text"], dtype=np.int64)
+        x_tx = _text(cfg["text"], model)
     else:
         x_tx = sample_joint(model, stream(seed, "cdm-sample-text")).x_tx
     sde = SdeConfig(
@@ -248,7 +273,8 @@ def cmd_cdm_sample(args) -> int:
     )
     drift_model = None
     if "train_p_flip" in cfg:
-        drift_model = make_pflip_model(_gen_spec(cfg, p_flip=cfg["train_p_flip"]))
+        drift_model = make_pflip_model(
+            _gen_spec(cfg, p_flip=_probability("train_p_flip", cfg["train_p_flip"])))
     counts, cond = sampled_law(model, x_tx, sde, drift_model=drift_model)
     out_dir = Path(args.out or ".")
     _write_reports(out_dir / "cdm_sample.csv", [law_distance(counts, cond, sde, drift_model)],
@@ -287,9 +313,11 @@ def _stack_to_lists(stack):
 def cmd_export_dataset(args) -> int:
     cfg = _load_config(args.config)
     n = _count("n", cfg.get("n", 10))
+    noise_t = cfg.get("noise_t")
+    if noise_t is not None:
+        _time("noise_t", noise_t)
     model = _resolve_model(cfg)
     seed = args.seed if args.seed is not None else cfg.get("seed", 0)
-    noise_t = cfg.get("noise_t")
     out = Path(args.out or ".") / "dataset.jsonl"
     out.parent.mkdir(parents=True, exist_ok=True)
     cfg_hash = _config_hash(cfg)

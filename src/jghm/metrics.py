@@ -386,9 +386,11 @@ def vlm_divergence(model: JghmModel, encoder, table: JointTable = None,
 
 @dataclass(frozen=True)
 class MisspecResult:
-    """Risk of the train-model predictor on test data, and its paired excess
-    over the matched-model (Bayes) predictor."""
+    """Paired evaluation on one set of test-model draws: the risk of the
+    matched-model (Bayes) predictor, the risk of the train-model predictor,
+    and its excess over the Bayes predictor."""
 
+    bayes: RiskReport
     risk: RiskReport
     excess: RiskReport
 
@@ -401,36 +403,35 @@ def _tag(meta, train_model, test_model, seed):
     return out
 
 
-def _clip_losses(train_model, test_model, B, c, seed, K, t):
-    scores = [exact_score(test_model), exact_score(train_model)]
+def _clip_losses(models, B, c, seed, K, t):
+    scores = [exact_score(model) for model in models]
     losses = _contrastive_batch_losses(
-        test_model, scores, K, B, stream(seed, "misspec-clip", K, c))
-    return losses[:, 1], losses[:, 0]
+        models[0], scores, K, B, stream(seed, "misspec-clip", K, c))
+    return tuple(losses.T)
 
 
-def _zsc_losses(train_model, test_model, B, c, seed, K, t):
+def _zsc_losses(models, B, c, seed, K, t):
     # Bayes-optimal class prediction is the root posterior itself; the
     # mismatched predictor runs the same inference with the train kernels.
-    draws = sample_joint_batch(test_model, B, stream(seed, "misspec-zsc-data", c))
+    draws = sample_joint_batch(models[0], B, stream(seed, "misspec-zsc-data", c))
     idx = (np.arange(B), draws.root - 1)
     with np.errstate(divide="ignore"):
-        return tuple(-np.log(root_posterior(model, "im", draws.x_im)[idx])
-                     for model in (train_model, test_model))
+        return tuple(-np.log(root_posterior(model, "im", draws.x_im)[idx]) for model in models)
 
 
-def _cdm_losses(train_model, test_model, B, c, seed, K, t):
+def _cdm_losses(models, B, c, seed, K, t):
     rng = stream(seed, "misspec-cdm", c)
-    draws = sample_joint_batch(test_model, B, rng)
+    draws = sample_joint_batch(models[0], B, rng)
     noisy = noise_image(draws.x_im, t, rng)
     x = draws.x_im.astype(float)
     return tuple(((x - bayes_denoiser(model, noisy, draws.x_tx)) ** 2).mean(axis=1)
-                 for model in (train_model, test_model))
+                 for model in models)
 
 
-def _vlm_losses(train_model, test_model, B, c, seed, K, t):
-    draws = sample_joint_batch(test_model, B, stream(seed, "misspec-vlm", c))
+def _vlm_losses(models, B, c, seed, K, t):
+    draws = sample_joint_batch(models[0], B, stream(seed, "misspec-vlm", c))
     nlls = []
-    for model in (train_model, test_model):
+    for model in models:
         post = next_token_posteriors_parallel(model, draws.x_im, draws.x_tx)
         tok = np.take_along_axis(post, (draws.x_tx - 1)[..., None], axis=-1)[..., 0]
         with np.errstate(divide="ignore"):
@@ -438,8 +439,10 @@ def _vlm_losses(train_model, test_model, B, c, seed, K, t):
     return tuple(nlls)
 
 
-# task -> (paired per-row losses (train, test) of one chunk, risk report name,
-#          excess report name, evaluation parameters carried in the metadata)
+# task -> (per-row losses of one chunk, one array per model, for the distinct
+#          models (test, [train]) on data drawn from the test model; risk
+#          report name; excess report name; evaluation parameters carried in
+#          the metadata)
 MISSPEC_TASKS = {
     "clip": (_clip_losses, "clip_risk", "clip_excess", ("K",)),
     "zsc": (_zsc_losses, "zsc_logloss", "zsc_excess", ()),
@@ -455,19 +458,27 @@ def misspec_bp_eval(train_model: JghmModel, test_model: JghmModel, task: str,
     from `test_model`, with the matched-model predictor as the paired
     baseline. Supported tasks: the keys of MISSPEC_TASKS.
 
-    All predictor randomness shares stream keys across the two predictors,
-    so at train == test the excess is identically zero.
+    Both predictors score the same draws, and each distinct model runs its
+    inference once per chunk; at train is test the excess is identically
+    zero and the risk equals the Bayes risk.
     """
     if task not in MISSPEC_TASKS:
         raise ModelError(f"unknown task {task!r}; expected {', '.join(MISSPEC_TASKS)}")
-    paired_losses, risk_name, excess_name, params = MISSPEC_TASKS[task]
+    task_losses, risk_name, excess_name, params = MISSPEC_TASKS[task]
+    models = (test_model,) if train_model is test_model else (test_model, train_model)
+    bayes = np.empty(n)
     risk = np.empty(n)
     diff = np.empty(n)
     for c, lo, hi in _chunks(n):
-        train, test = paired_losses(train_model, test_model, hi - lo, c, seed, K, t)
+        losses = task_losses(models, hi - lo, c, seed, K, t)
+        test, train = losses[0], losses[-1]
+        bayes[lo:hi] = test
         risk[lo:hi] = train
         diff[lo:hi] = train - test
     values = {"K": K, "t": t}
-    meta = _tag({key: values[key] for key in params}, train_model, test_model, seed)
-    return MisspecResult(RiskReport(risk_name, *_mean_se(risk), n, meta),
-                         RiskReport(excess_name, *_mean_se(diff), n, meta))
+    meta = {key: values[key] for key in params}
+    matched = _tag(meta, test_model, test_model, seed)
+    paired = _tag(meta, train_model, test_model, seed)
+    return MisspecResult(RiskReport(risk_name, *_mean_se(bayes), n, matched),
+                         RiskReport(risk_name, *_mean_se(risk), n, paired),
+                         RiskReport(excess_name, *_mean_se(diff), n, paired))

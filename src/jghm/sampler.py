@@ -5,6 +5,8 @@ vectorize over a leading axis and consume generator draws in a fixed order,
 so identical generators reproduce identical bits.
 """
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,9 +65,10 @@ class ContrastiveBatch:
 
 
 def check_time(t: float):
-    """Reject a diffusion time that is negative, infinite or nan."""
-    if not (np.isfinite(t) and t >= 0):
-        raise ModelError(f"diffusion time t must be finite and >= 0, got {t}")
+    """Reject a diffusion time that is not a real number (bools included),
+    or is negative, infinite or nan."""
+    if isinstance(t, bool) or not isinstance(t, numbers.Real) or not (math.isfinite(t) and t >= 0):
+        raise ModelError(f"diffusion time t must be a finite real >= 0, got {t!r}")
 
 
 @dataclass(frozen=True)

@@ -103,7 +103,7 @@ class TestNoiseEvidence:
         p = softmax_belief(ev[0])
         assert p[1] >= 1 - 1e-15
 
-    @pytest.mark.parametrize("t", [np.nan, np.inf])
+    @pytest.mark.parametrize("t", [np.nan, np.inf, "x", True])
     def test_non_finite_time_rejected(self, t):
         with pytest.raises(ModelError, match="time t"):
             leaf_evidence_from_noise(np.array([1.0]), t, 3)

@@ -1,9 +1,12 @@
+import csv
 import hashlib
 import json
 import subprocess
 import sys
 
 import pytest
+
+from jghm import ModelGenSpec, TreeTopology, make_pflip_model, misspec_bp_eval
 
 TOPO = {"depth": 2, "m_im": [2, 2], "m_tx": [2, 2], "n_states": 3}
 
@@ -72,6 +75,13 @@ class TestSweep:
         assert lines[2].startswith("# config_hash=")
         # header + 3 rows per point (bayes risk, ood risk, ood excess)
         assert len(lines) == 3 + 1 + 3 * 3
+        rows = list(csv.reader(lines[4:]))
+        topo = TreeTopology(depth=2, m_im=(2, 2), m_tx=(2, 2), n_states=3)
+        train = make_pflip_model(ModelGenSpec(topology=topo, p_flip=0.2, seed=3))
+        for i, p in enumerate([0.1, 0.2, 0.3]):
+            test = make_pflip_model(ModelGenSpec(topology=topo, p_flip=p, seed=3))
+            res = misspec_bp_eval(train, test, "zsc", n=300, seed=5)
+            assert rows[3 * i:3 * i + 3] == [r.csv_row() for r in (res.bayes, res.risk, res.excess)]
 
     def test_bayes_only_sweep(self, workdir):
         cfg = workdir / "sweep2.json"
@@ -212,11 +222,29 @@ class TestOtherCommands:
     ("sweep", {"task": "clip", "topology": TOPO, "p_flip_list": [0.2], "K": 1}),
     ("cdm-sample", {"topology": TOPO, "p_flip": 0.3, "n_paths": True}),
     ("export-dataset", {"topology": TOPO, "p_flip": 0.3, "n": 2.5}),
+    ("sweep", {"task": "clip", "topology": TOPO, "p_flip_list": ["a"]}),
+    ("sweep", {"task": "clip", "topology": TOPO, "p_flip_list": 0.2}),
+    ("sweep", {"task": "clip", "topology": TOPO, "p_flip_list": [0.2], "train_p_flip": "x"}),
+    ("sweep", {"task": "cdm", "topology": TOPO, "p_flip_list": [0.2], "t": "x"}),
+    ("sweep", {"task": "clip", "topology": TOPO, "p_flip_list": [1.5]}),
+    ("sweep", {"task": "cdm", "topology": TOPO, "p_flip_list": [0.2], "t": -1}),
+    ("sweep", {"task": "cdm", "topology": TOPO, "p_flip_list": [0.2], "t": True}),
+    ("sweep", {"task": "clip", "topology": TOPO, "p_flip_list": [True]}),
+    ("sweep", {"task": "clip", "topology": TOPO, "p_flip_list": [0.2], "train_p_flip": 1.5}),
+    ("sweep --threads 0", {"task": "clip", "topology": TOPO, "p_flip_list": [0.2], "n": 10}),
+    ("cdm-sample", {"topology": TOPO, "p_flip": 0.3, "text": [9, 9, 9, 9]}),
+    ("cdm-sample", {"topology": TOPO, "p_flip": 0.3, "text": [1.5, 1, 1, 1]}),
+    ("cdm-sample", {"topology": TOPO, "p_flip": 0.3, "text": [True, 1, 1, 1]}),
+    ("cdm-sample", {"topology": TOPO, "p_flip": 0.3, "text": [1, 1, 1]}),
+    ("cdm-sample", {"topology": TOPO, "p_flip": 0.3, "text": "1111"}),
+    ("cdm-sample", {"topology": TOPO, "p_flip": 0.3, "train_p_flip": "x"}),
+    ("export-dataset", {"topology": TOPO, "p_flip": 0.3, "n": 2, "noise_t": "x"}),
+    ("export-dataset", {"topology": TOPO, "p_flip": 0.3, "n": 2, "noise_t": True}),
 ])
 def test_bad_config_exits_2_without_traceback(workdir, command, cfg):
     path = workdir / "bad.json"
     path.write_text(json.dumps(cfg))
-    r = run_cli(command, "--config", str(path), "--out", str(workdir / "o"))
+    r = run_cli(*command.split(), "--config", str(path), "--out", str(workdir / "o"))
     assert r.returncode == 2
     assert "Traceback" not in r.stderr and r.stderr.startswith("error: ")
 

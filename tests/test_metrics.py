@@ -20,7 +20,8 @@ from jghm.encoders import (
     coarsened_score,
     exact_score,
 )
-from jghm.metrics import RiskReport, zsc_infinite_sample_predict
+from jghm import metrics
+from jghm.metrics import CHUNK, RiskReport, zsc_infinite_sample_predict
 from jghm.model import ModelError, ModelGenSpec, make_pflip_model
 from jghm.oracle import (
     exact_denoiser,
@@ -227,6 +228,37 @@ class TestMisspec:
         result = misspec_bp_eval(ref_model, ref_model, task, n=400, seed=19)
         assert result.excess.estimate == 0.0
         assert result.excess.se == 0.0
+
+    @pytest.mark.parametrize("task", ["clip", "zsc", "cdm", "vlm"])
+    def test_bayes_report_equals_matched_risk(self, task):
+        topo = reference_topology()
+        train = make_pflip_model(ModelGenSpec(topology=topo, p_flip=0.2, seed=31))
+        test = make_pflip_model(ModelGenSpec(topology=topo, p_flip=0.3, seed=31))
+        kwargs = {"n": CHUNK + 76, "seed": 22, "K": 4, "t": 0.5}
+        paired = misspec_bp_eval(train, test, task, **kwargs)
+        matched = misspec_bp_eval(test, test, task, **kwargs)
+        for report in (paired.bayes, matched.bayes):
+            assert (report.name, report.estimate, report.se, report.n, report.metadata) == (
+                matched.risk.name, matched.risk.estimate, matched.risk.se, matched.risk.n,
+                matched.risk.metadata)
+        assert paired.bayes.metadata["p_flip_train"] == 0.3
+        assert paired.risk.metadata["p_flip_train"] == 0.2
+
+    @pytest.mark.parametrize("matched, per_chunk", [(True, 1), (False, 2)])
+    def test_vlm_inference_once_per_distinct_model(self, ref_model, monkeypatch, matched, per_chunk):
+        train = ref_model if matched else make_pflip_model(
+            ModelGenSpec(topology=reference_topology(), p_flip=0.2, seed=31))
+        calls = []
+        real = metrics.next_token_posteriors_parallel
+
+        def counting(model, *args):
+            calls.append(model)
+            return real(model, *args)
+
+        monkeypatch.setattr(metrics, "next_token_posteriors_parallel", counting)
+        misspec_bp_eval(train, ref_model, "vlm", n=CHUNK + 1, seed=19)
+        assert len(calls) == 2 * per_chunk  # two chunks
+        assert {id(m) for m in calls} == {id(ref_model), id(train)}
 
     def test_mismatched_zsc_positive_excess(self):
         topo = reference_topology()
