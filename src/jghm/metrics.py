@@ -466,19 +466,14 @@ def misspec_bp_eval(train_model: JghmModel, test_model: JghmModel, task: str,
         raise ModelError(f"unknown task {task!r}; expected {', '.join(MISSPEC_TASKS)}")
     task_losses, risk_name, excess_name, params = MISSPEC_TASKS[task]
     models = (test_model,) if train_model is test_model else (test_model, train_model)
-    bayes = np.empty(n)
-    risk = np.empty(n)
-    diff = np.empty(n)
+    losses = np.empty((len(models), n))
     for c, lo, hi in _chunks(n):
-        losses = task_losses(models, hi - lo, c, seed, K, t)
-        test, train = losses[0], losses[-1]
-        bayes[lo:hi] = test
-        risk[lo:hi] = train
-        diff[lo:hi] = train - test
+        losses[:, lo:hi] = task_losses(models, hi - lo, c, seed, K, t)
+    bayes, risk = losses[0], losses[-1]
     values = {"K": K, "t": t}
     meta = {key: values[key] for key in params}
     matched = _tag(meta, test_model, test_model, seed)
     paired = _tag(meta, train_model, test_model, seed)
     return MisspecResult(RiskReport(risk_name, *_mean_se(bayes), n, matched),
                          RiskReport(risk_name, *_mean_se(risk), n, paired),
-                         RiskReport(excess_name, *_mean_se(diff), n, paired))
+                         RiskReport(excess_name, *_mean_se(risk - bayes), n, paired))
