@@ -237,15 +237,15 @@ class TestMisspec:
         kwargs = {"n": CHUNK + 76, "seed": 22, "K": 4, "t": 0.5}
         paired = misspec_bp_eval(train, test, task, **kwargs)
         matched = misspec_bp_eval(test, test, task, **kwargs)
-        for report in (paired.bayes, matched.bayes):
-            assert (report.name, report.estimate, report.se, report.n, report.metadata) == (
-                matched.risk.name, matched.risk.estimate, matched.risk.se, matched.risk.n,
-                matched.risk.metadata)
+        # dataclass equality: name, estimate, se, n and metadata, exactly
+        assert paired.bayes == matched.risk
+        assert matched.bayes == matched.risk
         assert paired.bayes.metadata["p_flip_train"] == 0.3
         assert paired.risk.metadata["p_flip_train"] == 0.2
 
     @pytest.mark.parametrize("matched, per_chunk", [(True, 1), (False, 2)])
-    def test_vlm_inference_once_per_distinct_model(self, ref_model, monkeypatch, matched, per_chunk):
+    def test_vlm_inference_once_per_distinct_model(self, ref_model, monkeypatch, matched,
+                                                   per_chunk):
         train = ref_model if matched else make_pflip_model(
             ModelGenSpec(topology=reference_topology(), p_flip=0.2, seed=31))
         calls = []
