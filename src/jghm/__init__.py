@@ -15,11 +15,9 @@ from .model import (
     validate_model,
 )
 from .sampler import (
-    ContrastiveBatch,
     NoisyImage,
     Sample,
     noise_image,
-    sample_contrastive_batch,
     sample_joint,
     sample_joint_batch,
     sample_text_for_class,
@@ -36,8 +34,6 @@ from .bp import (
     posterior_floor,
     readout_bound,
     root_posterior,
-    step_down,
-    step_up,
     upsweep,
 )
 from .encoders import (

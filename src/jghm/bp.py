@@ -36,9 +36,6 @@ __all__ = [
     "Belief",
     "MessageStack",
     "normalize",
-    "softmax_belief",
-    "step_down",
-    "step_up",
     "evidence_from_states",
     "leaf_evidence_from_noise",
     "downsweep",
@@ -47,7 +44,6 @@ __all__ = [
     "root_posterior",
     "optimal_score",
     "readout_bound",
-    "leaf_log_posteriors",
     "bayes_denoiser",
     "next_token_posterior_bp",
     "next_token_posteriors_parallel",
@@ -82,24 +78,6 @@ def normalize(b: Belief) -> Belief:
     if not (m > NEG_INF).all():
         raise ModelError(IMPOSSIBLE)
     return b - m
-
-
-def softmax_belief(b: Belief) -> np.ndarray:
-    """Probability vector of a log-domain belief."""
-    p = np.exp(normalize(b))
-    return p / p.sum(axis=-1, keepdims=True)
-
-
-def step_down(kernel: np.ndarray, h: Belief) -> Belief:
-    """Child-to-parent map: out_s = log sum_a kernel[s, a] * exp(h_a)."""
-    w = np.exp(normalize(h))
-    with np.errstate(divide="ignore"):
-        return np.log(w @ kernel.T) + np.max(h, axis=-1, keepdims=True)
-
-
-def step_up(kernel: np.ndarray, h: Belief) -> Belief:
-    """Parent-to-child map: out_s = log sum_a kernel[a, s] * exp(h_a)."""
-    return step_down(kernel.T, h)
 
 
 def evidence_from_states(states: np.ndarray, n_states: int) -> Belief:
@@ -209,8 +187,6 @@ def _down(model: JghmModel, modality: str, q_leaf: np.ndarray, prior_mode: str):
         h = siblings[..., 0, :].copy()
         for j in range(1, m):
             h *= siblings[..., j, :]
-        if level == 1 and prior_mode == "root":
-            h = h * model.root_prior
         hs[level - 1] = _rescale(h)
     return hs, qs
 
@@ -255,12 +231,10 @@ def downsweep(model: JghmModel, modality: str, evidence: Belief, prior_mode: str
     prior_mode controls where the root prior enters:
       'split' -- multiply P[s]^(1/m1) into every level-1 contribution (the
                  contrastive-task form; softmax of h[0] is then P[s | leaves]);
-      'root'  -- multiply P[s] once into the root product (numerically
-                 equivalent cross-check variant);
       'none'  -- pure likelihood; used when the prior arrives via another
                  modality's posterior (denoising, next-token prediction).
     """
-    if prior_mode not in ("split", "root", "none"):
+    if prior_mode not in ("split", "none"):
         raise ModelError(f"unknown prior_mode {prior_mode!r}")
     _, q_leaf = _leaf_messages(model, modality, evidence)
     hs, qs = _down(model, modality, q_leaf, prior_mode)
@@ -348,14 +322,6 @@ def _leaf_posteriors(model: JghmModel, modality: str, evidence: Belief, root_ext
     h_leaf, q_leaf = _leaf_messages(model, modality, evidence)
     _, qs = _down(model, modality, q_leaf, "none")
     return _up(model, modality, qs, h_leaf, root_extra)[-1]
-
-
-def leaf_log_posteriors(model: JghmModel, modality: str, evidence: Belief, root_extra: Belief) -> Belief:
-    """log P[x_v = s | evidence, root_extra] for every leaf v, normalized to
-    sum 1 in probability domain."""
-    post = _leaf_posteriors(model, modality, evidence, softmax_belief(np.asarray(root_extra)))
-    with np.errstate(divide="ignore"):
-        return np.log(post)
 
 
 def bayes_denoiser(model: JghmModel, noisy: NoisyImage, x_tx: np.ndarray) -> np.ndarray:

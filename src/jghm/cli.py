@@ -13,6 +13,7 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import sys
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -92,9 +93,31 @@ def _count(name, value, minimum=1) -> int:
     return value
 
 
+def _seed(name, value) -> int:
+    """A config seed: an integer that fits the signed 128 bits of a stream
+    key; bools and floats are rejected."""
+    if isinstance(value, bool) or not isinstance(value, int) or not -2**127 <= value < 2**127:
+        raise ConfigError(f"{name} must be an integer in [-2**127, 2**127), got {value!r}")
+    return value
+
+
+def _master_seed(args, cfg) -> int:
+    """The --seed flag, else the config seed (default 0)."""
+    if args.seed is not None:
+        return _seed("--seed", args.seed)
+    return _seed("seed", cfg.get("seed", 0))
+
+
+def _real(name, value):
+    """A finite real config number; bools are rejected."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise ConfigError(f"{name} must be a finite real number, got {value!r}")
+    return value
+
+
 def _probability(name, value):
     """A config probability: a real number in [0, 1]; bools are rejected."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0 <= value <= 1:
+    if not 0 <= _real(name, value) <= 1:
         raise ConfigError(f"{name} must be a real number in [0, 1], got {value!r}")
     return value
 
@@ -130,11 +153,12 @@ def _topology(cfg) -> TreeTopology:
 def _gen_spec(cfg, p_flip=None) -> ModelGenSpec:
     if p_flip is None and "p_flip" not in cfg:
         raise ConfigError("config needs p_flip (or a sweep list)")
+    seed_key = "model_seed" if "model_seed" in cfg else "seed"
     return ModelGenSpec(
         topology=_topology(cfg),
         p_flip=cfg["p_flip"] if p_flip is None else p_flip,
-        seed=cfg.get("model_seed", cfg.get("seed", 0)),
-        gaussian_scale=cfg.get("gaussian_scale", 1.0),
+        seed=_seed(seed_key, cfg.get(seed_key, 0)),
+        gaussian_scale=_real("gaussian_scale", cfg.get("gaussian_scale", 1.0)),
         p_flip_im=cfg.get("p_flip_im"),
         p_flip_tx=cfg.get("p_flip_tx"),
     )
@@ -221,7 +245,7 @@ def cmd_sweep(args) -> int:
     if not isinstance(p_list, list) or not p_list:
         raise ConfigError(f"sweep config needs a non-empty p_flip_list, got {p_list!r}")
     p_list = [_probability("p_flip_list entry", p) for p in p_list]
-    seed = args.seed if args.seed is not None else cfg.get("seed", 0)
+    seed = _master_seed(args, cfg)
     kwargs = {"n": _count("n", cfg.get("n", 2000)), "seed": seed,
               "K": _count("K", cfg.get("K", 8), minimum=2), "t": _time("t", cfg.get("t", 1.0))}
     threads = _count("--threads", args.threads)
@@ -250,8 +274,8 @@ def cmd_zsc(args) -> int:
     if not isinstance(m_list, list) or not m_list:
         raise ConfigError(f"M_list must be a non-empty list, got {m_list!r}")
     m_list = [_count("M", m) for m in m_list]
+    seed = _master_seed(args, cfg)
     model = _resolve_model(cfg)
-    seed = args.seed if args.seed is not None else cfg.get("seed", 0)
     score = _resolve_score(cfg.get("score", "exact"), model)
     reports = zsc_kl_sweep(model, score, m_list, n, seed)
     _write_reports(Path(args.out or ".") / "zsc.csv", reports, seed, cfg)
@@ -261,8 +285,8 @@ def cmd_zsc(args) -> int:
 def cmd_cdm_sample(args) -> int:
     cfg = _load_config(args.config)
     n_paths = _count("n_paths", cfg.get("n_paths", 2000))
+    seed = _master_seed(args, cfg)
     model = _resolve_model(cfg)
-    seed = args.seed if args.seed is not None else cfg.get("seed", 0)
     if "text" in cfg:
         x_tx = _text(cfg["text"], model)
     else:
@@ -294,8 +318,8 @@ def cmd_cdm_sample(args) -> int:
 
 def cmd_vlm(args) -> int:
     cfg = _load_config(args.config)
+    seed = _master_seed(args, cfg)
     model = _resolve_model(cfg)
-    seed = args.seed if args.seed is not None else cfg.get("seed", 0)
     encoder = _resolve_encoder(cfg.get("encoder", "canonical"), model, "im")
     report = vlm_divergence(model, encoder)
     _write_reports(Path(args.out or ".") / "vlm.csv", [report], seed, cfg)
@@ -316,8 +340,8 @@ def cmd_export_dataset(args) -> int:
     noise_t = cfg.get("noise_t")
     if noise_t is not None:
         _time("noise_t", noise_t)
+    seed = _master_seed(args, cfg)
     model = _resolve_model(cfg)
-    seed = args.seed if args.seed is not None else cfg.get("seed", 0)
     out = Path(args.out or ".") / "dataset.jsonl"
     out.parent.mkdir(parents=True, exist_ok=True)
     cfg_hash = _config_hash(cfg)

@@ -21,6 +21,7 @@ from .oracle import (
     encoder_fibers,
     enumerate_joint,
     exact_suff_encoder,
+    kl_rows,
     score_matrix,
 )
 from .rng import stream
@@ -215,17 +216,6 @@ def zsc_infinite_sample_predict(model: JghmModel, score, x_im, table: JointTable
     return num / w.sum()
 
 
-def _kl_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    out = np.zeros(p.shape[0])
-    for i in range(p.shape[0]):
-        sup = p[i] > 0
-        if np.any(q[i][sup] == 0):
-            out[i] = np.inf
-        else:
-            out[i] = max(float(np.sum(p[i][sup] * np.log(p[i][sup] / q[i][sup]))), 0.0)
-    return out
-
-
 def zsc_kl(model: JghmModel, score, M: int, n: int, seed: int) -> RiskReport:
     """E_x KL(P(y | x_im) || predicted class distribution), MC over images."""
     reports = zsc_kl_sweep(model, score, [M], n, seed)
@@ -248,7 +238,7 @@ def zsc_kl_sweep(model: JghmModel, score, M_list, n: int, seed: int):
         truth = root_posterior(model, "im", images)
         pair = _class_pair_scores(model, score, images, M_max, stream(seed, "zsc-texts", M_max, c))
         for M in M_list:
-            kls[M][lo:hi] = _kl_rows(truth, _class_prediction(pair[:, :, :M], log_prior))
+            kls[M][lo:hi] = kl_rows(truth, _class_prediction(pair[:, :, :M], log_prior))
     reports = []
     for M in M_list:
         est, se = _mean_se(kls[M])
@@ -274,7 +264,7 @@ def cdm_estimation_error(model: JghmModel, encoder, t: float = 1.0, n: int = 100
     """
     if table is None:
         table = enumerate_joint(model, budget)
-    ids, n_fibers = encoder_fibers(encoder, table.tuples_tx)
+    ids, n_fibers = encoder_fibers(encoder, table.tuples_tx, table.p_tx)
     onehot = np.zeros((len(ids), n_fibers))
     onehot[np.arange(len(ids)), ids] = 1.0
     im_fiber = table.joint @ onehot  # (N_im, F): P(x_im = i, fiber = f)
@@ -337,7 +327,7 @@ def vlm_divergence(model: JghmModel, encoder, table: JointTable = None,
         table = enumerate_joint(model, budget)
     S = model.n_states
     d_tx = model.topology.d_tx
-    ids, n_fibers = encoder_fibers(encoder, table.tuples_im)
+    ids, n_fibers = encoder_fibers(encoder, table.tuples_im, table.p_im)
     fiber_joint = np.zeros((n_fibers, table.joint.shape[1]))
     np.add.at(fiber_joint, ids, table.joint)
     positions = _prefix_codes(table.tuples_tx, S)

@@ -20,7 +20,7 @@ __all__ = [
     "JointTable",
     "enumerate_joint",
     "config_count",
-    "kl_divergence",
+    "kl_rows",
     "mi_from_joint",
     "exact_conditional_root",
     "exact_mutual_information",
@@ -163,25 +163,29 @@ def enumerate_joint(model: JghmModel, budget: int = DEFAULT_BUDGET) -> JointTabl
     )
 
 
-def kl_divergence(p: np.ndarray, q: np.ndarray) -> float:
-    """KL(p || q) in nats; 0 log 0 = 0, positive mass on a q-null cell = inf."""
+def kl_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """KL(p || q) in nats along the last axis; 0 log 0 = 0, positive mass on
+    a q-null cell = inf."""
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
-    support = p > 0
-    if np.any(q[support] == 0):
-        return np.inf
-    ps, qs = p[support], q[support]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = np.where(p > 0, p * np.log(p / q), 0.0)
     # KL is nonnegative; tiny negative totals are floating-point noise
-    return max(float(np.sum(ps * np.log(ps / qs))), 0.0)
+    return np.maximum(terms.sum(axis=-1), 0.0)
+
+
+def _expected_kl(joint: np.ndarray, weights: np.ndarray) -> float:
+    """sum_r mass_r * KL(joint_r / mass_r || q_r) over the rows r of a joint
+    matrix with positive mass, where q_r is row r of `weights` normalized."""
+    mass = joint.sum(axis=1)
+    rows = mass > 0
+    p, q = joint[rows] / mass[rows, None], weights[rows]
+    return float(mass[rows] @ kl_rows(p, q / q.sum(axis=1, keepdims=True)))
 
 
 def mi_from_joint(joint: np.ndarray) -> float:
     """Mutual information of a dense joint probability matrix, in nats."""
-    pi = joint.sum(axis=1, keepdims=True)
-    pj = joint.sum(axis=0, keepdims=True)
-    support = joint > 0
-    ratio = joint[support] / (pi @ pj)[support]
-    return max(float(np.sum(joint[support] * np.log(ratio))), 0.0)
+    return _expected_kl(joint, np.broadcast_to(joint.sum(axis=0), joint.shape))
 
 
 def exact_conditional_root(table: JointTable, modality: str, leaves) -> np.ndarray:
@@ -198,28 +202,34 @@ def exact_mutual_information(table: JointTable) -> float:
     return mi_from_joint(table.joint)
 
 
-def encoder_fibers(encoder, tuples: np.ndarray):
+def encoder_fibers(encoder, tuples: np.ndarray, mass: np.ndarray):
     """Group leaf tuples by quantized encoder output.
 
-    Returns (fiber_id per tuple, number of fibers). Two inputs share a fiber
-    iff their encoder outputs agree exactly after quantization.
+    Returns (fiber_id per tuple, number of fibers). Two tuples of positive
+    `mass` share a fiber iff their encoder outputs agree exactly after
+    quantization. Tuples of zero mass are never encoded (inference on them
+    has no possible state); they share one extra fiber of zero mass.
     """
-    outputs = np.asarray(encoder(tuples))
-    outputs = outputs.reshape(len(tuples), -1)
-    _, ids = np.unique(outputs, axis=0, return_inverse=True)
-    return ids, int(ids.max()) + 1
+    live = mass > 0
+    outputs = np.asarray(encoder(tuples[live])).reshape(int(live.sum()), -1)
+    _, live_ids = np.unique(outputs, axis=0, return_inverse=True)
+    n_fibers = int(live_ids.max()) + 1
+    ids = np.full(len(tuples), n_fibers)
+    ids[live] = live_ids.reshape(-1)
+    return ids, n_fibers + int(not live.all())
 
 
 def _fiber_joint(table: JointTable, modality: str, encoder):
     """Aggregate the joint over encoder fibers of one modality.
 
-    Returns (fiber ids, fiber-level joint with the other modality).
+    Returns (fiber ids, this modality's joint with the other, fiber-level
+    joint with the other modality).
     """
-    ids, n_fibers = encoder_fibers(encoder, table.tuples(modality))
     joint = table.joint if modality == "im" else table.joint.T
+    ids, n_fibers = encoder_fibers(encoder, table.tuples(modality), joint.sum(axis=1))
     agg = np.zeros((n_fibers, joint.shape[1]))
     np.add.at(agg, ids, joint)
-    return ids, agg
+    return ids, joint, agg
 
 
 def exact_suff_encoder(model: JghmModel, encoder, modality: str, table: JointTable = None,
@@ -228,21 +238,8 @@ def exact_suff_encoder(model: JghmModel, encoder, modality: str, table: JointTab
     instead of the raw leaves."""
     if table is None:
         table = enumerate_joint(model, budget)
-    ids, agg = _fiber_joint(table, modality, encoder)
-    joint = table.joint if modality == "im" else table.joint.T
-    p_x = joint.sum(axis=1)
-    fiber_mass = agg.sum(axis=1)
-    total = 0.0
-    for i in range(len(p_x)):
-        if p_x[i] == 0:
-            continue
-        cond_x = joint[i] / p_x[i]
-        cond_f = agg[ids[i]] / fiber_mass[ids[i]]
-        term = kl_divergence(cond_x, cond_f)
-        if np.isinf(term):
-            return np.inf
-        total += p_x[i] * term
-    return total
+    ids, joint, agg = _fiber_joint(table, modality, encoder)
+    return _expected_kl(joint, agg[ids])
 
 
 def exact_mi_encoder(model: JghmModel, encoder, modality: str, table: JointTable = None,
@@ -250,8 +247,7 @@ def exact_mi_encoder(model: JghmModel, encoder, modality: str, table: JointTable
     """MI between the encoder output and the other modality's leaves."""
     if table is None:
         table = enumerate_joint(model, budget)
-    _, agg = _fiber_joint(table, modality, encoder)
-    return mi_from_joint(agg)
+    return mi_from_joint(_fiber_joint(table, modality, encoder)[2])
 
 
 def exact_suff_score(model: JghmModel, score, table: JointTable = None,
@@ -264,31 +260,21 @@ def exact_suff_score(model: JghmModel, score, table: JointTable = None,
     if table is None:
         table = enumerate_joint(model, budget)
     scores = score_matrix(score, table)
-    p_im, p_tx = table.p_im, table.p_tx
     with np.errstate(over="raise"):
-        induced = np.exp(scores) * np.outer(p_im, p_tx)
-    induced = induced / induced.sum()
-
-    total = 0.0
-    for joint, marg in ((table.joint, p_im), (table.joint.T, p_tx)):
-        ind = induced if joint is table.joint else induced.T
-        ind_marg = ind.sum(axis=1)
-        for i in range(len(marg)):
-            if marg[i] == 0:
-                continue
-            term = kl_divergence(joint[i] / marg[i], ind[i] / ind_marg[i])
-            if np.isinf(term):
-                return np.inf
-            total += marg[i] * term
-    return total
+        induced = np.exp(scores) * np.outer(table.p_im, table.p_tx)
+    return _expected_kl(table.joint, induced) + _expected_kl(table.joint.T, induced.T)
 
 
 def score_matrix(score, table: JointTable) -> np.ndarray:
-    """Evaluate a pair score on every (image tuple, text tuple) combination."""
-    n_im, n_tx = len(table.tuples_im), len(table.tuples_tx)
-    im = np.repeat(table.tuples_im, n_tx, axis=0)
-    tx = np.tile(table.tuples_tx, (n_im, 1))
-    return np.asarray(score(im, tx)).reshape(n_im, n_tx)
+    """Evaluate a pair score on every (image tuple, text tuple) combination
+    whose tuples both have positive marginal mass; every other pair, which
+    has no possible root state, scores -inf."""
+    rows, cols = np.flatnonzero(table.p_im > 0), np.flatnonzero(table.p_tx > 0)
+    im = np.repeat(table.tuples_im[rows], len(cols), axis=0)
+    tx = np.tile(table.tuples_tx[cols], (len(rows), 1))
+    scores = np.full(table.joint.shape, -np.inf)
+    scores[np.ix_(rows, cols)] = np.asarray(score(im, tx)).reshape(len(rows), len(cols))
+    return scores
 
 
 def exact_denoiser(model: JghmModel, z: np.ndarray, t: float, x_tx, table: JointTable = None,

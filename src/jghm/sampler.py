@@ -15,11 +15,9 @@ from .model import JghmModel, ModelError
 
 __all__ = [
     "Sample",
-    "ContrastiveBatch",
     "NoisyImage",
     "sample_joint",
     "sample_joint_batch",
-    "sample_contrastive_batch",
     "sample_contrastive_rows",
     "noise_image",
     "sample_text_for_class",
@@ -45,23 +43,6 @@ class Sample:
     @property
     def x_tx(self) -> np.ndarray:
         return self.levels_tx[-1]
-
-
-@dataclass(frozen=True)
-class ContrastiveBatch:
-    """K image/text rows; row 0 is the paired sample, rows 1..K-1 are
-    independent product-of-marginals negatives."""
-
-    images: np.ndarray  # (K, d_im)
-    texts: np.ndarray  # (K, d_tx)
-
-    def __post_init__(self):
-        if self.images.shape[0] != self.texts.shape[0] or self.images.shape[0] < 2:
-            raise ModelError("contrastive batch needs K >= 2 aligned image/text rows")
-
-    @property
-    def K(self) -> int:
-        return self.images.shape[0]
 
 
 def check_time(t: float):
@@ -149,12 +130,6 @@ def sample_contrastive_rows(model: JghmModel, K: int, size: int, rng) -> tuple:
     images = np.concatenate([pos.x_im[:, None, :], neg_im.reshape(size, K - 1, topo.d_im)], axis=1)
     texts = np.concatenate([pos.x_tx[:, None, :], neg_tx.reshape(size, K - 1, topo.d_tx)], axis=1)
     return images, texts
-
-
-def sample_contrastive_batch(model: JghmModel, K: int, rng: np.random.Generator) -> ContrastiveBatch:
-    """Positive pair plus K-1 negatives from the exact product of marginals."""
-    images, texts = sample_contrastive_rows(model, K, 1, rng)
-    return ContrastiveBatch(images=images[0], texts=texts[0])
 
 
 def noise_image(x_im: np.ndarray, t: float, rng: np.random.Generator, g=None) -> NoisyImage:

@@ -16,12 +16,10 @@ from jghm import (
     root_posterior,
     sample_joint,
     sample_joint_batch,
-    step_down,
-    step_up,
     stream,
     upsweep,
 )
-from jghm.bp import evidence_from_states, leaf_evidence_from_noise, softmax_belief
+from jghm.bp import _leaf_posteriors, evidence_from_states, leaf_evidence_from_noise
 from jghm.model import ModelGenSpec, TreeTopology, make_pflip_model
 from jghm.oracle import (
     enumerate_joint,
@@ -56,37 +54,6 @@ class TestNormalize:
         assert once.max() == 0.0
 
 
-class TestStepDown:
-    def test_identity_kernel_passes_through(self):
-        h = np.array([0.0, -1.0])
-        assert np.allclose(step_down(np.eye(2), h), h)
-
-    def test_uniform_kernel_gives_constant(self):
-        S = 3
-        h = normalize(np.array([0.3, -0.2, -1.0]))
-        out = step_down(np.full((S, S), 1.0 / S), h)
-        expected = np.log(np.exp(h).sum() / S)
-        assert np.allclose(out, expected)
-
-    def test_point_evidence_selects_column(self):
-        kernel = np.array([[0.9, 0.1], [0.2, 0.8]])
-        out = step_down(kernel, np.array([0.0, -np.inf]))
-        assert np.allclose(out, [np.log(0.9), np.log(0.2)])
-
-    @given(finite_beliefs, st.floats(min_value=-50, max_value=50, allow_nan=False))
-    @settings(max_examples=100, deadline=None)
-    def test_shift_equivariance(self, h, c):
-        S = len(h)
-        rng = np.random.default_rng(0)
-        kernel = rng.dirichlet(np.ones(S), size=S)
-        assert np.allclose(step_down(kernel, h + c), step_down(kernel, h) + c, atol=1e-12)
-
-    def test_step_up_transposes(self):
-        kernel = np.array([[0.9, 0.1], [0.2, 0.8]])
-        h = np.array([0.0, -0.5])
-        assert np.allclose(step_up(kernel, h), step_down(kernel.T, h))
-
-
 class TestNoiseEvidence:
     def test_quadratic_profile(self):
         ev = leaf_evidence_from_noise(np.array([2.0]), 1.0, 3)
@@ -100,8 +67,8 @@ class TestNoiseEvidence:
         ev = leaf_evidence_from_noise(np.array([200.0]), 100.0, 3)
         # neighboring states sit 50 log-units below the peak
         assert ev[0, 1] == 0.0 and np.all(ev[0, [0, 2]] == -50.0)
-        p = softmax_belief(ev[0])
-        assert p[1] >= 1 - 1e-15
+        p = np.exp(ev[0])
+        assert p[1] / p.sum() >= 1 - 1e-15
 
     @pytest.mark.parametrize("t", [np.nan, np.inf, "x", True])
     def test_non_finite_time_rejected(self, t):
@@ -109,6 +76,18 @@ class TestNoiseEvidence:
             leaf_evidence_from_noise(np.array([1.0]), t, 3)
         with pytest.raises(ModelError, match="time t"):
             NoisyImage(t=t, z=np.zeros(4))
+
+
+class TestLeafPosteriors:
+    @given(st.lists(st.floats(min_value=-30, max_value=30, allow_nan=False), min_size=12, max_size=12),
+           st.lists(st.floats(min_value=-50, max_value=50, allow_nan=False), min_size=4, max_size=4))
+    @settings(max_examples=100, deadline=None)
+    def test_leaf_evidence_shift_invariance(self, ref_model, ev, shifts):
+        ev = np.array(ev).reshape(4, 3)
+        shifted = ev + np.array(shifts)[:, None]
+        prior = ref_model.root_prior
+        assert np.allclose(_leaf_posteriors(ref_model, "im", shifted, prior),
+                           _leaf_posteriors(ref_model, "im", ev, prior), rtol=0, atol=1e-12)
 
 
 class TestRootPosterior:
@@ -135,12 +114,13 @@ class TestRootPosterior:
                     atol=1e-9,
                 )
 
-    def test_split_and_root_prior_modes_agree(self, ref_model):
+    def test_split_prior_is_none_times_prior(self, ref_model):
         leaves = sample_joint(ref_model, stream(3, "modes")).x_im
         ev = evidence_from_states(leaves, 3)
-        h_split = downsweep(ref_model, "im", ev, prior_mode="split").h[0]
-        h_root = downsweep(ref_model, "im", ev, prior_mode="root").h[0]
-        assert np.allclose(softmax_belief(h_split), softmax_belief(h_root), atol=1e-12)
+        split = np.exp(downsweep(ref_model, "im", ev, prior_mode="split").h[0][0])
+        none = np.exp(downsweep(ref_model, "im", ev, prior_mode="none").h[0][0])
+        weighted = none * ref_model.root_prior
+        assert np.allclose(split / split.sum(), weighted / weighted.sum(), rtol=0, atol=1e-12)
 
     def test_posterior_floor_exhaustive(self, ref_model, ref_table):
         floor = posterior_floor(ref_model)

@@ -4,9 +4,11 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from jghm import ModelGenSpec, TreeTopology, make_pflip_model, misspec_bp_eval
+from jghm.cli import main
 
 TOPO = {"depth": 2, "m_im": [2, 2], "m_tx": [2, 2], "n_states": 3}
 
@@ -240,6 +242,13 @@ class TestOtherCommands:
     ("cdm-sample", {"topology": TOPO, "p_flip": 0.3, "train_p_flip": "x"}),
     ("export-dataset", {"topology": TOPO, "p_flip": 0.3, "n": 2, "noise_t": "x"}),
     ("export-dataset", {"topology": TOPO, "p_flip": 0.3, "n": 2, "noise_t": True}),
+    ("sweep", {"task": "zsc", "topology": TOPO, "p_flip_list": [0.2], "n": 10, "seed": "x"}),
+    ("sweep", {"task": "zsc", "topology": TOPO, "p_flip_list": [0.2], "n": 10, "model_seed": "x"}),
+    ("sweep", {"task": "zsc", "topology": TOPO, "p_flip_list": [0.2], "n": 10, "gaussian_scale": "x"}),
+    ("sweep", {"task": "zsc", "topology": TOPO, "p_flip_list": [0.2], "n": 10, "seed": 1.5}),
+    ("sweep", {"task": "zsc", "topology": TOPO, "p_flip_list": [0.2], "n": 10, "model_seed": True}),
+    ("sweep", {"task": "zsc", "topology": TOPO, "p_flip_list": [0.2], "n": 10, "seed": 2**200}),
+    ("zsc", {"topology": TOPO, "p_flip": 0.3, "n": 10, "gaussian_scale": float("nan")}),
 ])
 def test_bad_config_exits_2_without_traceback(workdir, command, cfg):
     path = workdir / "bad.json"
@@ -247,6 +256,57 @@ def test_bad_config_exits_2_without_traceback(workdir, command, cfg):
     r = run_cli(*command.split(), "--config", str(path), "--out", str(workdir / "o"))
     assert r.returncode == 2
     assert "Traceback" not in r.stderr and r.stderr.startswith("error: ")
+
+
+SWEEP = {"topology": TOPO, "model_seed": 3, "p_flip_list": [0.1, 0.3], "train_p_flip": 0.2,
+         "n": 1500, "K": 4, "t": 0.7, "seed": 5}
+ZSC = {"topology": TOPO, "p_flip": 0.3, "p_flip_tx": 0.05, "model_seed": 3,
+       "M_list": [4, 16], "n": 300, "seed": 2}
+VLM = {"topology": TOPO, "p_flip": 0.3, "model_seed": 3}
+EXPORT = {"topology": TOPO, "model_seed": 11, "n": 20, "seed": 3, "noise_t": 1.0}
+CDM = {"topology": {"depth": 1, "m_im": [2], "m_tx": [2], "n_states": 2}, "p_flip": 0.35,
+       "model_seed": 3, "T": 8.0, "dt": 0.02, "n_paths": 400, "seed": 4}
+
+
+# sha256 prefixes of reference-scale outputs; any change to them is a change
+# of behaviour and must be deliberate
+@pytest.mark.parametrize("command, cfg, digests", [
+    ("sweep", {**SWEEP, "task": "clip"}, {"sweep.csv": "05e5b3ea54924243"}),
+    ("sweep", {**SWEEP, "task": "zsc"}, {"sweep.csv": "0effb6eb74e2ce91"}),
+    ("sweep", {**SWEEP, "task": "cdm"}, {"sweep.csv": "854b3fc63d2f9892"}),
+    ("sweep", {**SWEEP, "task": "vlm"}, {"sweep.csv": "130d11f6c5794f99"}),
+    ("zsc", {**ZSC, "score": "exact"}, {"zsc.csv": "794ca8b1a00af0d5"}),
+    ("zsc", {**ZSC, "score": "coarsened"}, {"zsc.csv": "43d51229ebc70ad3"}),
+    ("zsc", {**ZSC, "score": "constant"}, {"zsc.csv": "2a7e41028995faa9"}),
+    ("zsc", {**ZSC, "topology": {**TOPO, "n_states": 9}}, {"zsc.csv": "31b0bc8f054eac65"}),
+    ("zsc", {**ZSC, "topology": {**TOPO, "n_states": 10}}, {"zsc.csv": "12da635dcc7d9524"}),
+    ("vlm", {**VLM, "encoder": "canonical"}, {"vlm.csv": "80618e2c91abfc84"}),
+    ("vlm", {**VLM, "encoder": "coarsened"}, {"vlm.csv": "b93ba286317949e1"}),
+    ("vlm", {**VLM, "encoder": "constant"}, {"vlm.csv": "381d7a7ed84a1667"}),
+    ("export-dataset --with-messages", {**EXPORT, "p_flip": 0.0},
+     {"dataset.jsonl": "9df877237aa207a6"}),
+    ("export-dataset --with-messages", {**EXPORT, "p_flip": 0.3},
+     {"dataset.jsonl": "c0bceaa9532e7600"}),
+    ("cdm-sample", CDM, {"cdm_sample.csv": "a8818dcbc81c6087", "histogram.json": "92f00c59a8fe5115"}),
+], ids=["sweep-clip", "sweep-zsc", "sweep-cdm", "sweep-vlm", "zsc-exact", "zsc-coarsened",
+        "zsc-constant", "zsc-S9", "zsc-S10", "vlm-canonical", "vlm-coarsened", "vlm-constant",
+        "export-p0", "export-p0.3", "cdm-sample"])
+def test_outputs_byte_identical(workdir, command, cfg, digests):
+    path = workdir / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert main([*command.split(), "--config", str(path), "--out", str(workdir)]) == 0
+    assert {name: digest(workdir / name)[:16] for name in digests} == digests
+
+
+@pytest.mark.parametrize("encoder, estimate", [
+    ("canonical", 0.0), ("coarsened", 0.46209812037329684), ("constant", np.log(3)),
+])
+def test_vlm_command_on_permutation_model(workdir, encoder, estimate):
+    path = workdir / "vlm.json"
+    path.write_text(json.dumps({**VLM, "p_flip": 0.0, "encoder": encoder}))
+    assert main(["vlm", "--config", str(path), "--out", str(workdir)]) == 0
+    row = list(csv.reader((workdir / "vlm.csv").read_text().splitlines()[4:]))[0]
+    assert float(row[1]) == pytest.approx(estimate, abs=1e-12)
 
 
 def test_selftest_passes():

@@ -191,6 +191,11 @@ class TestCdm:
         se = errs.std(ddof=1) / np.sqrt(n)
         assert abs(r.estimate - errs.mean()) <= 4 * (r.se + se)
 
+    def test_permutation_model_exact_encoder_zero_error(self, perm_model, perm_table):
+        r = cdm_estimation_error(perm_model, canonical_encoder(perm_model, "tx"), t=1.0,
+                                 n=500, seed=19, table=perm_table)
+        assert r.estimate == 0.0 and r.metadata["suff"] == 0.0
+
 
 class TestVlm:
     def test_exact_encoder_zero(self, ref_model, ref_table):
@@ -202,6 +207,13 @@ class TestVlm:
             r = vlm_divergence(ref_model, enc, ref_table)
             assert r.estimate <= r.metadata["suff"] + 1e-9
             assert r.estimate == pytest.approx(r.metadata["suff"], abs=1e-9)
+
+    def test_permutation_model_divergence_equals_sufficiency(self, perm_model, perm_table):
+        for enc in (canonical_encoder(perm_model, "im"), coarsened_root_encoder(perm_model, "im"),
+                    constant_encoder(perm_model, "im")):
+            r = vlm_divergence(perm_model, enc, perm_table)
+            assert r.estimate == pytest.approx(r.metadata["suff"], abs=1e-12)
+        assert r.estimate == pytest.approx(np.log(3), abs=1e-12)
 
     def test_constant_encoder_against_direct_enumeration(self, ref_model, ref_table):
         r = vlm_divergence(ref_model, constant_encoder(ref_model, "im"), ref_table)

@@ -22,7 +22,7 @@ from jghm.oracle import (
     exact_next_token,
     exact_suff_encoder,
     exact_suff_score,
-    kl_divergence,
+    kl_rows,
     mi_from_joint,
 )
 from jghm.presets import large_scale_topology
@@ -146,11 +146,24 @@ class TestSufficiency:
         s_cruder = exact_suff_encoder(ref_model, cruder, "im", ref_table)
         assert s_fine <= s_coarse <= s_cruder
 
+    def test_permutation_model_exact_values(self, perm_model, perm_table):
+        # 78 of the 81 leaf tuples per modality have zero mass and are never encoded
+        mi = exact_mutual_information(perm_table)
+        assert mi == pytest.approx(np.log(3), abs=1e-12)
+        for modality in ("im", "tx"):
+            canonical = canonical_encoder(perm_model, modality)
+            constant = constant_encoder(perm_model, modality)
+            assert exact_suff_encoder(perm_model, canonical, modality, perm_table) == 0.0
+            assert exact_suff_encoder(perm_model, constant, modality, perm_table) == mi
+
 
 class TestScoreSufficiency:
     def test_optimal_score_zero(self, ref_model, ref_table):
         suff = exact_suff_score(ref_model, exact_score(ref_model), ref_table)
         assert 0 <= suff <= 1e-9
+
+    def test_permutation_model_optimal_score_zero(self, perm_model, perm_table):
+        assert exact_suff_score(perm_model, exact_score(perm_model), perm_table) == 0.0
 
     def test_constant_score_double_mi(self, ref_model, ref_table):
         mi = exact_mutual_information(ref_table)
@@ -197,10 +210,12 @@ class TestExactNextToken:
 
 class TestInfoHelpers:
     def test_kl_conventions(self):
-        assert kl_divergence([0.5, 0.5, 0.0], [0.25, 0.75, 0.0]) > 0
-        assert kl_divergence([1.0, 0.0], [0.5, 0.5]) == pytest.approx(np.log(2))
-        assert kl_divergence([0.5, 0.5], [1.0, 0.0]) == np.inf
-        assert kl_divergence([0.3, 0.7], [0.3, 0.7]) == 0.0
+        assert kl_rows([0.5, 0.5, 0.0], [0.25, 0.75, 0.0]) > 0
+        assert kl_rows([1.0, 0.0], [0.5, 0.5]) == pytest.approx(np.log(2))
+        assert kl_rows([0.5, 0.5], [1.0, 0.0]) == np.inf
+        assert kl_rows([0.3, 0.7], [0.3, 0.7]) == 0.0
+        rows = kl_rows([[1.0, 0.0], [0.5, 0.5]], [[0.5, 0.5], [1.0, 0.0]])
+        assert rows.shape == (2,) and rows[0] == pytest.approx(np.log(2)) and rows[1] == np.inf
 
     def test_mi_nonnegative(self):
         joint = np.array([[0.25, 0.25], [0.25, 0.25]])

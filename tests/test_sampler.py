@@ -5,13 +5,13 @@ from scipy import stats
 from jghm import (
     ModelError,
     noise_image,
-    sample_contrastive_batch,
     sample_joint,
     sample_joint_batch,
     sample_text_for_class,
     stream,
 )
 from jghm.oracle import encode_leaves, enumerate_joint
+from jghm.sampler import sample_contrastive_rows
 from test_model import uniform_model
 
 ALPHA = 1e-6  # chi-square flake threshold; draws are seeded, so deterministic
@@ -85,38 +85,26 @@ class TestSampleJoint:
 
 class TestContrastiveBatch:
     def test_k2_has_one_negative(self, ref_model):
-        batch = sample_contrastive_batch(ref_model, 2, stream(7, "k2"))
-        assert batch.K == 2
-        assert batch.images.shape == (2, 4) and batch.texts.shape == (2, 4)
+        images, texts = sample_contrastive_rows(ref_model, 2, 1, stream(7, "k2"))
+        assert images.shape == (1, 2, 4) and texts.shape == (1, 2, 4)
 
     def test_k_below_two_rejected(self, ref_model):
         with pytest.raises(ModelError):
-            sample_contrastive_batch(ref_model, 1, stream(7, "k1"))
+            sample_contrastive_rows(ref_model, 1, 1, stream(7, "k1"))
 
     def test_negative_sides_independent(self, ref_model):
         # first leaf of the negative image against first leaf of the negative text
         n = 30_000
-        rng = stream(8, "indep")
-        pairs = np.array(
-            [
-                (b.images[1, 0], b.texts[1, 0])
-                for b in (sample_contrastive_batch(ref_model, 2, rng) for _ in range(n))
-            ]
-        )
+        images, texts = sample_contrastive_rows(ref_model, 2, n, stream(8, "indep"))
         obs = np.zeros((3, 3))
-        for a, b in pairs:
-            obs[a - 1, b - 1] += 1
+        np.add.at(obs, (images[:, 1, 0] - 1, texts[:, 1, 0] - 1), 1)
         _, p, _, _ = stats.chi2_contingency(obs)
         assert p > ALPHA
 
     def test_negative_marginal_matches_positive(self, ref_model):
         n = 30_000
-        rng = stream(9, "marg")
-        pos = np.empty(n, dtype=int)
-        neg = np.empty(n, dtype=int)
-        for i in range(n):
-            b = sample_contrastive_batch(ref_model, 2, rng)
-            pos[i], neg[i] = b.images[0, 0], b.images[1, 0]
+        images, _ = sample_contrastive_rows(ref_model, 2, n, stream(9, "marg"))
+        pos, neg = images[:, 0, 0], images[:, 1, 0]
         obs = np.stack([np.bincount(pos, minlength=4)[1:], np.bincount(neg, minlength=4)[1:]])
         _, p, _, _ = stats.chi2_contingency(obs)
         assert p > ALPHA
