@@ -25,6 +25,7 @@ from .sampler import (
 from .bp import (
     MessageStack,
     bayes_denoiser,
+    conditioned_denoiser,
     downsweep,
     leaf_evidence_from_noise,
     next_token_posterior_bp,

@@ -10,7 +10,10 @@ by a product over siblings. A child's cavity (the product of its siblings'
 messages) is built from prefix and suffix products, never by dividing a
 zero out, so exact zeros encode impossible states and a permutation-kernel
 model (p_flip = 0) stays exact. A node whose message is all zero means the
-evidence is impossible under the model, and raises ModelError.
+evidence is impossible under the model, and raises ModelError. The block
+kernels and leaf columns are read from the model's plan (`JghmModel.plan`),
+built once per model. `root_log_posterior` enters the leaves rank by rank
+and never holds all leaf messages at once.
 
 Log-domain beliefs appear only at the API and in exported messages: a
 `Belief` is a length-S vector of log-weights, normalized so its maximum entry
@@ -45,6 +48,7 @@ __all__ = [
     "optimal_score",
     "readout_bound",
     "bayes_denoiser",
+    "conditioned_denoiser",
     "next_token_posterior_bp",
     "next_token_posteriors_parallel",
     "posterior_floor",
@@ -123,35 +127,42 @@ def _rescale(h: np.ndarray) -> np.ndarray:
     return h / total[..., None]
 
 
-def _by_rank(x: np.ndarray, level_kernels, transpose: bool, stride: int = 1) -> np.ndarray:
+def _by_rank(x: np.ndarray, blocks: np.ndarray, stride: int = 1) -> np.ndarray:
     """Multiply every row of a (..., n, S) array by its rank's kernel.
 
-    Row r belongs to child rank (r // stride) % m. With transpose the row
-    maps child to parent (x @ kernel.T); without, parent to child
-    (x @ kernel). The per-rank kernels sit on the diagonal of one
-    (m*S, m*S) matrix, so a level costs a single matmul.
+    Row r belongs to child rank (r // stride) % m. `blocks` is a level's
+    block-diagonal matrix from the model plan: `down` maps child to parent
+    (x @ kernel.T), `up` parent to child (x @ kernel), so a level costs a
+    single matmul.
     """
-    m, S = len(level_kernels), x.shape[-1]
-    blocks = np.zeros((m * S, m * S))
-    for j, kernel in enumerate(level_kernels):
-        blocks[j * S:(j + 1) * S, j * S:(j + 1) * S] = kernel.T if transpose else kernel
+    S = x.shape[-1]
+    m = blocks.shape[0] // S
     grouped = x.reshape(x.shape[:-2] + (-1, m, stride, S)).swapaxes(-3, -2)
     out = grouped.reshape(-1, m * S) @ blocks
     return out.reshape(grouped.shape).swapaxes(-3, -2).reshape(x.shape)
 
 
-def _leaf_gather(level_kernels, leaves: np.ndarray) -> np.ndarray:
+def _leaf_gather(columns: np.ndarray, leaves: np.ndarray) -> np.ndarray:
     """Child-to-parent messages of observed leaves: column x - 1 of each
-    leaf's rank kernel, shape leaves.shape + (S,)."""
-    columns = np.concatenate([kernel.T for kernel in level_kernels])  # (m*S, S)
+    leaf's rank kernel, shape leaves.shape + (S,). `columns` is the leaf
+    level's stacked columns from the model plan."""
     S = columns.shape[-1]
-    rank = np.arange(leaves.shape[-1]) % len(level_kernels)
+    rank = np.arange(leaves.shape[-1]) % (columns.shape[0] // S)
     return np.take(columns, rank * S + leaves - 1, axis=0)
 
 
 def _group(x: np.ndarray, m: int) -> np.ndarray:
     """View a (..., n, S) level array as (..., n/m, m, S) sibling groups."""
     return x.reshape(x.shape[:-2] + (-1, m, x.shape[-1]))
+
+
+def _sibling_product(q: np.ndarray, m: int) -> np.ndarray:
+    """Each parent's product of its m children's messages, in rank order."""
+    siblings = _group(q, m)
+    h = siblings[..., 0, :].copy()
+    for j in range(1, m):
+        h *= siblings[..., j, :]
+    return h
 
 
 def _cavities(q: np.ndarray, m: int) -> np.ndarray:
@@ -164,31 +175,32 @@ def _cavities(q: np.ndarray, m: int) -> np.ndarray:
     return cav.reshape(q.shape)
 
 
-def _down(model: JghmModel, modality: str, q_leaf: np.ndarray, prior_mode: str):
-    """Scaled down pass from the leaves' child-to-parent messages.
+def _prior_share(model: JghmModel, modality: str) -> np.ndarray:
+    """P^(1/m1): the part of the root prior that each level-1 message
+    carries under prior_mode 'split'."""
+    return model.root_prior ** (1.0 / model.topology.branching(modality)[0])
 
-    Returns (hs, qs) in probability domain: hs[l] for levels l = 0..L-1 with
-    each node scaled to total 1, qs[l-1] for levels l = 1..L.
+
+def _down(model: JghmModel, modality: str, h: np.ndarray, prior_mode: str, qs: list):
+    """Scaled down pass from `h`, the unscaled messages of the level-(L-1)
+    nodes (each the product of its children's messages).
+
+    Returns hs in probability domain, hs[l] for levels l = 0..L-1 with each
+    node scaled to total 1, and stores the level-l child-to-parent messages
+    in qs[l-1] for l = 1..L-1.
     """
-    topo = model.topology
-    ms = topo.branching(modality)
-    kernels = model.kernels(modality)
-    hs = [None] * topo.depth
-    qs = [None] * topo.depth
-    q = q_leaf
-    for level in range(topo.depth, 0, -1):
-        m = ms[level - 1]
-        if level < topo.depth:
-            q = _by_rank(hs[level], kernels[level - 1], transpose=True)
+    depth = model.topology.depth
+    ms = model.topology.branching(modality)
+    down = model.plan(modality).down
+    hs = [None] * depth
+    hs[-1] = _rescale(h)
+    for level in range(depth - 1, 0, -1):
+        q = _by_rank(hs[level], down[level - 1])
         if level == 1 and prior_mode == "split":
-            q = q * model.root_prior ** (1.0 / m)
+            q = q * _prior_share(model, modality)
         qs[level - 1] = q
-        siblings = _group(q, m)
-        h = siblings[..., 0, :].copy()
-        for j in range(1, m):
-            h *= siblings[..., j, :]
-        hs[level - 1] = _rescale(h)
-    return hs, qs
+        hs[level - 1] = _rescale(_sibling_product(q, ms[level - 1]))
+    return hs
 
 
 def _up(model: JghmModel, modality: str, qs, h_leaf: np.ndarray, root_extra: np.ndarray):
@@ -198,12 +210,12 @@ def _up(model: JghmModel, modality: str, qs, h_leaf: np.ndarray, root_extra: np.
     ms = model.topology.branching(modality)
     out = root_extra[..., None, :]
     bs = []
-    for level, level_kernels in enumerate(model.kernels(modality), start=1):
+    for level, blocks in enumerate(model.plan(modality).up, start=1):
         m = ms[level - 1]
         msg = _group(_cavities(qs[level - 1], m), m) * out[..., None, :]
         msg = _rescale(msg.reshape(msg.shape[:-3] + (-1, msg.shape[-1])))
         bs.append(msg)
-        out = _by_rank(msg, level_kernels, transpose=False)
+        out = _by_rank(msg, blocks)
     bs.append(_rescale(out * h_leaf))
     return bs
 
@@ -213,8 +225,9 @@ def _log(p: np.ndarray) -> Belief:
         return normalize(np.log(p))
 
 
-def _leaf_messages(model: JghmModel, modality: str, evidence: Belief) -> tuple:
-    """Leaf evidence as probabilities and the leaves' child-to-parent messages."""
+def _down_from_evidence(model: JghmModel, modality: str, evidence: Belief, prior_mode: str):
+    """Leaf evidence as probabilities and the scaled down pass above it:
+    (h_leaf, hs, qs) with qs[L-1] the leaves' child-to-parent messages."""
     topo = model.topology
     if evidence.shape[-2:] != (topo.n_leaves(modality), topo.n_states):
         raise ModelError(
@@ -222,7 +235,12 @@ def _leaf_messages(model: JghmModel, modality: str, evidence: Belief) -> tuple:
             f"({topo.n_leaves(modality)}, {topo.n_states})"
         )
     h_leaf = np.exp(normalize(evidence))
-    return h_leaf, _by_rank(h_leaf, model.kernels(modality)[-1], transpose=True)
+    q = _by_rank(h_leaf, model.plan(modality).down[-1])
+    if topo.depth == 1 and prior_mode == "split":
+        q = q * _prior_share(model, modality)
+    qs = [None] * (topo.depth - 1) + [q]
+    hs = _down(model, modality, _sibling_product(q, topo.branching(modality)[-1]), prior_mode, qs)
+    return h_leaf, hs, qs
 
 
 def downsweep(model: JghmModel, modality: str, evidence: Belief, prior_mode: str = "split") -> MessageStack:
@@ -236,8 +254,7 @@ def downsweep(model: JghmModel, modality: str, evidence: Belief, prior_mode: str
     """
     if prior_mode not in ("split", "none"):
         raise ModelError(f"unknown prior_mode {prior_mode!r}")
-    _, q_leaf = _leaf_messages(model, modality, evidence)
-    hs, qs = _down(model, modality, q_leaf, prior_mode)
+    _, hs, qs = _down_from_evidence(model, modality, evidence, prior_mode)
     return MessageStack(h=tuple(_log(h) for h in hs) + (evidence,), q=tuple(_log(q) for q in qs))
 
 
@@ -276,7 +293,19 @@ def _check_leaves(model: JghmModel, modality: str, leaves) -> np.ndarray:
 def root_log_posterior(model: JghmModel, modality: str, leaves: np.ndarray) -> Belief:
     """log P[root = s | leaves], exactly normalized."""
     leaves = _check_leaves(model, modality, leaves)
-    hs, _ = _down(model, modality, _leaf_gather(model.kernels(modality)[-1], leaves), "split")
+    topo = model.topology
+    S, m = topo.n_states, topo.branching(modality)[-1]
+    columns = model.plan(modality).columns[-1]
+    # Leaf entry rank by rank: the rank-(j+1) children of the leaves' parents
+    # sit at leaf positions j, j + m, ...; their messages are multiplied in
+    # as gathered, in the sibling order of _sibling_product.
+    h = None
+    for j in range(m):
+        q = np.take(columns, leaves[..., j::m] + np.intp(j * S - 1), axis=0)
+        if topo.depth == 1:
+            q *= _prior_share(model, modality)
+        h = q if h is None else np.multiply(h, q, out=h)
+    hs = _down(model, modality, h, "split", [None] * topo.depth)
     with np.errstate(divide="ignore"):
         return np.log(hs[0][..., 0, :])
 
@@ -319,9 +348,26 @@ def posterior_floor(model: JghmModel) -> float:
 def _leaf_posteriors(model: JghmModel, modality: str, evidence: Belief, root_extra: np.ndarray) -> np.ndarray:
     """P[x_v = s | evidence, root_extra] for every leaf v; `root_extra` is a
     probability vector over the root."""
-    h_leaf, q_leaf = _leaf_messages(model, modality, evidence)
-    _, qs = _down(model, modality, q_leaf, "none")
+    h_leaf, _, qs = _down_from_evidence(model, modality, evidence, "none")
     return _up(model, modality, qs, h_leaf, root_extra)[-1]
+
+
+def conditioned_denoiser(model: JghmModel, x_tx: np.ndarray):
+    """The optimal denoiser bound to one text: a function of a NoisyImage
+    returning E[x_im,v | z_t, x_tx] per coordinate.
+
+    The text posterior is computed here, once; each call runs only the
+    image tree's down and up pass. Calls broadcast over leading axes of
+    `noisy.z` (against those of `x_tx`); every output lies in [1, S].
+    """
+    text_post = np.exp(root_log_posterior(model, "tx", x_tx))
+    states = np.arange(1, model.n_states + 1, dtype=float)
+
+    def denoise(noisy: NoisyImage) -> np.ndarray:
+        ev = leaf_evidence_from_noise(noisy.z, noisy.t, model.n_states)
+        return _leaf_posteriors(model, "im", ev, text_post) @ states
+
+    return denoise
 
 
 def bayes_denoiser(model: JghmModel, noisy: NoisyImage, x_tx: np.ndarray) -> np.ndarray:
@@ -329,11 +375,7 @@ def bayes_denoiser(model: JghmModel, noisy: NoisyImage, x_tx: np.ndarray) -> np.
 
     Broadcasts over leading axes of `noisy.z`; every output lies in [1, S].
     """
-    text_post = np.exp(root_log_posterior(model, "tx", x_tx))
-    ev = leaf_evidence_from_noise(noisy.z, noisy.t, model.n_states)
-    probs = _leaf_posteriors(model, "im", ev, text_post)
-    states = np.arange(1, model.n_states + 1, dtype=float)
-    return probs @ states
+    return conditioned_denoiser(model, x_tx)(noisy)
 
 
 def next_token_posterior_bp(model: JghmModel, x_im: np.ndarray, prefix) -> np.ndarray:
@@ -378,17 +420,17 @@ def next_token_posteriors_parallel(model: JghmModel, x_im: np.ndarray, x_tx: np.
     topo = model.topology
     x_tx = _check_leaves(model, "tx", x_tx)
     S, d, L, ms = topo.n_states, topo.d_tx, topo.depth, topo.m_tx
-    kernels = model.kernels_tx
+    plan = model.plan_tx
     strides = [int(np.prod(ms[level:], dtype=np.int64)) for level in range(L + 1)]
 
     img_post = root_posterior(model, "im", x_im)
 
     Es = [None] * (L + 1)
-    Q = _leaf_gather(kernels[L - 1], x_tx)
+    Q = _leaf_gather(plan.columns[L - 1], x_tx)
     for level in range(L, 0, -1):
         m, stride = ms[level - 1], strides[level]
         if level < L:
-            Q = _by_rank(H, kernels[level - 1], transpose=True, stride=stride)
+            Q = _by_rank(H, plan.down[level - 1], stride=stride)
         grouped = Q.reshape(Q.shape[:-2] + (-1, m, stride, S))
         E = np.ones_like(grouped[..., -1:, :])
         np.cumprod(grouped[..., :-1, -1:, :], axis=-3, out=E[..., 1:, :, :])
@@ -401,5 +443,5 @@ def next_token_posteriors_parallel(model: JghmModel, x_im: np.ndarray, x_tx: np.
     for level in range(1, L + 1):
         m, stride = ms[level - 1], strides[level]
         D = (D.reshape(lead + (-1, m, stride, S)) * Es[level]).reshape(lead + (d, S))
-        D = _rescale(_by_rank(D, kernels[level - 1], transpose=False, stride=stride))
+        D = _rescale(_by_rank(D, plan.up[level - 1], stride=stride))
     return D

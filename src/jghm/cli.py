@@ -76,9 +76,12 @@ def _load_config(path):
     if path is None:
         raise ConfigError("--config is required for this command")
     try:
-        return json.loads(Path(path).read_text())
+        cfg = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as e:
         raise ConfigError(f"cannot read config {path}: {e}") from e
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"config {path} must be a JSON object, got {type(cfg).__name__}")
+    return cfg
 
 
 def _config_hash(cfg) -> str:
@@ -140,27 +143,40 @@ def _text(value, model) -> np.ndarray:
     return np.asarray(value, dtype=np.int64)
 
 
+def _counts(name, value) -> tuple:
+    """A config list of branching factors, each a count >= 1."""
+    if not isinstance(value, list):
+        raise ConfigError(f"{name} must be a list of integers >= 1, got {value!r}")
+    return tuple(_count(f"{name} entry", m) for m in value)
+
+
 def _topology(cfg) -> TreeTopology:
+    t = cfg.get("topology")
+    if not isinstance(t, dict):
+        raise ConfigError(f"topology must be an object, got {t!r}")
     try:
-        t = cfg["topology"]
         return TreeTopology(
-            depth=t["depth"], m_im=tuple(t["m_im"]), m_tx=tuple(t["m_tx"]), n_states=t["n_states"]
+            depth=_count("depth", t["depth"]), m_im=_counts("m_im", t["m_im"]),
+            m_tx=_counts("m_tx", t["m_tx"]), n_states=_count("n_states", t["n_states"], minimum=2)
         )
     except KeyError as e:
         raise ConfigError(f"topology config is missing {e}") from e
+    except ModelError as e:
+        raise ConfigError(f"topology: {e}") from e
 
 
 def _gen_spec(cfg, p_flip=None) -> ModelGenSpec:
     if p_flip is None and "p_flip" not in cfg:
         raise ConfigError("config needs p_flip (or a sweep list)")
     seed_key = "model_seed" if "model_seed" in cfg else "seed"
+    overrides = {key: _probability(key, cfg[key]) for key in ("p_flip_im", "p_flip_tx")
+                 if cfg.get(key) is not None}
     return ModelGenSpec(
         topology=_topology(cfg),
-        p_flip=cfg["p_flip"] if p_flip is None else p_flip,
+        p_flip=_probability("p_flip", cfg["p_flip"]) if p_flip is None else p_flip,
         seed=_seed(seed_key, cfg.get(seed_key, 0)),
         gaussian_scale=_real("gaussian_scale", cfg.get("gaussian_scale", 1.0)),
-        p_flip_im=cfg.get("p_flip_im"),
-        p_flip_tx=cfg.get("p_flip_tx"),
+        **overrides,
     )
 
 
@@ -286,15 +302,16 @@ def cmd_cdm_sample(args) -> int:
     cfg = _load_config(args.config)
     n_paths = _count("n_paths", cfg.get("n_paths", 2000))
     seed = _master_seed(args, cfg)
+    try:
+        sde = SdeConfig(horizon=_real("T", cfg.get("T", 20.0)), dt=_real("dt", cfg.get("dt", 0.01)),
+                        n_paths=n_paths, seed=seed)
+    except ModelError as e:
+        raise ConfigError(f"SDE grid: {e}") from e
     model = _resolve_model(cfg)
     if "text" in cfg:
         x_tx = _text(cfg["text"], model)
     else:
         x_tx = sample_joint(model, stream(seed, "cdm-sample-text")).x_tx
-    sde = SdeConfig(
-        horizon=cfg.get("T", 20.0), dt=cfg.get("dt", 0.01),
-        n_paths=n_paths, seed=seed,
-    )
     drift_model = None
     if "train_p_flip" in cfg:
         drift_model = make_pflip_model(

@@ -7,11 +7,12 @@ total-variation comparison against the enumeration oracle.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .bp import bayes_denoiser
+from .bp import conditioned_denoiser
 from .model import JghmModel, ModelError
 from .oracle import DEFAULT_BUDGET, encode_leaves, enumerate_joint
 from .metrics import RiskReport
@@ -34,12 +35,15 @@ class SdeConfig:
     seed: int
 
     def __post_init__(self):
-        if self.horizon <= 0 or self.dt <= 0:
-            raise ModelError("horizon and dt must be > 0")
-        if self.n_paths < 1:
-            raise ModelError("n_paths must be >= 1")
+        for name, v in (("horizon", self.horizon), ("dt", self.dt)):
+            if isinstance(v, bool) or not isinstance(v, numbers.Real) or not (
+                    math.isfinite(v) and v > 0):
+                raise ModelError(f"{name} must be a finite real > 0, got {v!r}")
+        if isinstance(self.n_paths, bool) or not isinstance(self.n_paths, numbers.Integral) \
+                or self.n_paths < 1:
+            raise ModelError(f"n_paths must be an integer >= 1, got {self.n_paths!r}")
         steps = self.horizon / self.dt
-        if abs(steps - round(steps)) > 1e-9:
+        if not math.isfinite(steps) or abs(steps - round(steps)) > 1e-9:
             raise ModelError(f"horizon/dt = {steps!r} must be integral within 1e-9")
 
     @property
@@ -52,13 +56,15 @@ def sample_image_sde(model: JghmModel, x_tx: np.ndarray, cfg: SdeConfig,
     """Euler scheme Y_{k+1} = Y_k + m(Y_k, k dt) dt + sqrt(dt) xi_k, Y_0 = 0.
 
     Returns Y_T / T per trajectory, shape (n_paths, d_im). The drift is the
-    exact denoiser of `drift_model` (default: the data model); `drift_fn`
-    overrides it entirely (test hook, e.g. zero drift).
+    exact denoiser of `drift_model` (default: the data model), bound to
+    `x_tx` once per run; `drift_fn` overrides it entirely (test hook, e.g.
+    zero drift).
     """
-    source = drift_model if drift_model is not None else model
     if drift_fn is None:
+        denoise = conditioned_denoiser(drift_model if drift_model is not None else model, x_tx)
+
         def drift_fn(z, t):
-            return bayes_denoiser(source, NoisyImage(t=t, z=z), x_tx)
+            return denoise(NoisyImage(t=t, z=z))
 
     d = model.topology.d_im
     sqrt_dt = math.sqrt(cfg.dt)

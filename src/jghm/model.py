@@ -10,6 +10,7 @@ and columns are 0-based internally (state s <-> index s-1).
 """
 
 import json
+import numbers
 import warnings
 from dataclasses import dataclass, field
 
@@ -20,6 +21,7 @@ from .rng import stream
 __all__ = [
     "TreeTopology",
     "JghmModel",
+    "TreePlan",
     "ModelGenSpec",
     "ModelError",
     "leaf_index",
@@ -141,13 +143,58 @@ def validate_kernel(kernel: np.ndarray, n_states: int):
     return problems
 
 
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+@dataclass(frozen=True)
+class TreePlan:
+    """The tables the sampler and BP read for one tree, one entry per level
+    1..L; built once per model and read-only.
+
+    With m kernels of size S at a level:
+      cum     (m, S, S)     cumulative rows of each rank's kernel, for
+                            inverse-CDF draws;
+      down    (m*S, m*S)    block diagonal of the rank kernels transposed
+                            (child-to-parent messages);
+      up      (m*S, m*S)    block diagonal of the rank kernels (parent to
+                            child);
+      columns (m*S, S)      the rank kernels transposed and stacked: row
+                            j*S + x - 1 is the message of a rank-(j+1) child
+                            observed in state x.
+    """
+
+    cum: tuple
+    down: tuple
+    up: tuple
+    columns: tuple
+
+
+def _tree_plan(levels, S: int) -> TreePlan:
+    cum, down, up, columns = [], [], [], []
+    for level in levels:
+        m = len(level)
+        cum.append(_frozen(np.cumsum(np.stack(level), axis=2)))
+        d, u = np.zeros((m * S, m * S)), np.zeros((m * S, m * S))
+        for j, kernel in enumerate(level):
+            d[j * S:(j + 1) * S, j * S:(j + 1) * S] = kernel.T
+            u[j * S:(j + 1) * S, j * S:(j + 1) * S] = kernel
+        down.append(_frozen(d))
+        up.append(_frozen(u))
+        columns.append(_frozen(np.concatenate([kernel.T for kernel in level])))
+    return TreePlan(tuple(cum), tuple(down), tuple(up), tuple(columns))
+
+
 @dataclass(frozen=True)
 class JghmModel:
     """A full parameterization: topology, root prior, per-level kernels.
 
     ``kernels_im[l][i]`` is the kernel for children of rank i+1 at level l+1
     of the image tree (likewise ``kernels_tx``). Instances are immutable;
-    all arrays are frozen at construction.
+    all arrays are frozen at construction, and so is the plan of tables the
+    sampler and BP read (``plan(modality)``, ``root_cum``: the cumulative
+    root prior).
     """
 
     topology: TreeTopology
@@ -155,24 +202,36 @@ class JghmModel:
     kernels_im: tuple
     kernels_tx: tuple
     metadata: dict = field(default_factory=dict)
+    root_cum: np.ndarray = field(init=False, repr=False, compare=False)
+    plan_im: TreePlan = field(init=False, repr=False, compare=False)
+    plan_tx: TreePlan = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        prior = np.asarray(self.root_prior, dtype=float).copy()
-        prior.flags.writeable = False
+        S = self.topology.n_states
+        prior = _frozen(np.asarray(self.root_prior, dtype=float).copy())
         object.__setattr__(self, "root_prior", prior)
-        for attr in ("kernels_im", "kernels_tx"):
+        object.__setattr__(self, "root_cum", _frozen(np.cumsum(prior)))
+        for modality in MODALITIES:
             levels = []
-            for level in getattr(self, attr):
+            for level_idx, level in enumerate(getattr(self, f"kernels_{modality}"), start=1):
+                if not len(level):
+                    raise ModelError(f"kernels_{modality} level {level_idx} has no kernels")
                 ks = []
-                for k in level:
-                    k = np.asarray(k, dtype=float).copy()
-                    k.flags.writeable = False
+                for rank, k in enumerate(level, start=1):
+                    k = _frozen(np.asarray(k, dtype=float).copy())
+                    if k.shape != (S, S):
+                        raise ModelError(f"kernels_{modality}[{level_idx}][{rank}]: "
+                                         f"kernel shape {k.shape} != ({S}, {S})")
                     ks.append(k)
                 levels.append(tuple(ks))
-            object.__setattr__(self, attr, tuple(levels))
+            object.__setattr__(self, f"kernels_{modality}", tuple(levels))
+            object.__setattr__(self, f"plan_{modality}", _tree_plan(levels, S))
 
     def kernels(self, modality: str) -> tuple:
         return self.kernels_im if modality == "im" else self.kernels_tx
+
+    def plan(self, modality: str) -> TreePlan:
+        return self.plan_im if modality == "im" else self.plan_tx
 
     @property
     def n_states(self) -> int:
@@ -269,8 +328,10 @@ class ModelGenSpec:
     def __post_init__(self):
         for name, p in (("p_flip", self.p_flip), ("p_flip_im", self.p_flip_im),
                         ("p_flip_tx", self.p_flip_tx)):
-            if p is not None and not 0.0 <= p <= 1.0:
-                raise ModelError(f"{name} must lie in [0, 1], got {p}")
+            if p is None and name != "p_flip":
+                continue  # no per-tree override
+            if isinstance(p, bool) or not isinstance(p, numbers.Real) or not 0.0 <= p <= 1.0:
+                raise ModelError(f"{name} must be a real number in [0, 1], got {p!r}")
 
     def mixing(self, modality: str) -> float:
         override = self.p_flip_im if modality == "im" else self.p_flip_tx

@@ -65,32 +65,41 @@ class NoisyImage:
             raise ModelError("noisy image has non-finite entries")
 
 
-def _categorical_rows(probs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Draw one index per row of a (B, S) probability matrix; 0-based."""
-    u = rng.random(probs.shape[0])
-    idx = (u[:, None] > np.cumsum(probs, axis=1)).sum(axis=1)
-    return np.minimum(idx, probs.shape[1] - 1)
+def _draw(u: np.ndarray, cum: np.ndarray) -> np.ndarray:
+    """Inverse-CDF draws: per uniform u, the first 0-based index whose
+    cumulative mass in the matching row of `cum` (..., S) reaches u."""
+    return np.minimum((u[..., None] > cum).sum(axis=-1), cum.shape[-1] - 1)
+
+
+def _draw_roots(model: JghmModel, size: int, rng) -> np.ndarray:
+    return _draw(rng.random(size), model.root_cum) + 1
 
 
 def _sample_tree(model: JghmModel, modality: str, roots: np.ndarray, rng) -> tuple:
-    """Ancestral pass below given root states (B,); returns per-level arrays."""
+    """Ancestral pass below given root states (B,); returns per-level arrays.
+
+    Each level takes one block of uniforms, ordered (rank, row, parent):
+    every rank-1 child first, then every rank-2 child, and so on.
+    """
     levels = []
     parents = roots[:, None]  # (B, 1)
-    for level_kernels in model.kernels(modality):
-        m = len(level_kernels)
+    S = model.n_states
+    for cum in model.plan(modality).cum:
+        m = len(cum)
         B, n_prev = parents.shape
-        children = np.empty((B, n_prev, m), dtype=np.int64)
-        for j, kernel in enumerate(level_kernels):
-            rows = kernel[(parents - 1).reshape(-1)]
-            children[:, :, j] = _categorical_rows(rows, rng).reshape(B, n_prev) + 1
-        parents = children.reshape(B, n_prev * m)
+        u = rng.random(m * B * n_prev).reshape(m, B, n_prev)
+        # the rank-(j+1) child of a parent in state x reads row j*S + x - 1
+        rows = np.take(cum.reshape(m * S, S),
+                       (np.arange(m) * S - 1)[:, None, None] + parents, axis=0)
+        children = _draw(u, rows) + 1  # (m, B, n_prev)
+        parents = children.transpose(1, 2, 0).reshape(B, n_prev * m)
         levels.append(parents)
     return tuple(levels)
 
 
 def sample_joint_batch(model: JghmModel, size: int, rng: np.random.Generator) -> Sample:
     """Draw `size` independent full trajectories; arrays have shape (size, .)."""
-    roots = _categorical_rows(np.broadcast_to(model.root_prior, (size, model.n_states)), rng) + 1
+    roots = _draw_roots(model, size, rng)
     levels_im = _sample_tree(model, "im", roots, rng)
     levels_tx = _sample_tree(model, "tx", roots, rng)
     return Sample(root=roots, levels_im=levels_im, levels_tx=levels_tx)
@@ -99,8 +108,7 @@ def sample_joint_batch(model: JghmModel, size: int, rng: np.random.Generator) ->
 def sample_marginal_leaves(model: JghmModel, modality: str, size: int, rng) -> np.ndarray:
     """Draw `size` leaf vectors from one modality's marginal law (a fresh
     root per draw, the other tree never materialized)."""
-    roots = _categorical_rows(np.broadcast_to(model.root_prior, (size, model.n_states)), rng) + 1
-    return _sample_tree(model, modality, roots, rng)[-1]
+    return _sample_tree(model, modality, _draw_roots(model, size, rng), rng)[-1]
 
 
 def sample_joint(model: JghmModel, rng: np.random.Generator) -> Sample:

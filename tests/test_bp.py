@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from jghm import (
     ModelError,
     bayes_denoiser,
+    conditioned_denoiser,
     downsweep,
     next_token_posterior_bp,
     next_token_posteriors_parallel,
@@ -27,7 +28,7 @@ from jghm.oracle import (
     exact_denoiser,
     exact_next_token,
 )
-from jghm.presets import diffusion_model, reference_topology
+from jghm.presets import diffusion_model, micro_model, reference_topology
 from jghm.sampler import NoisyImage
 from test_model import uniform_model
 
@@ -113,6 +114,25 @@ class TestRootPosterior:
                     exact_conditional_root(ref_table, modality, leaves),
                     atol=1e-9,
                 )
+
+    @pytest.mark.parametrize("model", [
+        micro_model(),
+        diffusion_model(),
+        make_pflip_model(ModelGenSpec(
+            topology=TreeTopology(depth=1, m_im=(3,), m_tx=(2,), n_states=3), p_flip=0.4, seed=5)),
+    ], ids=["m1", "m2", "m3"])
+    def test_depth_one_matches_oracle_exhaustive(self, model):
+        table = enumerate_joint(model)
+        for modality in ("im", "tx"):
+            leaves = table.tuples(modality)
+            want = np.stack([exact_conditional_root(table, modality, x) for x in leaves])
+            assert np.abs(root_posterior(model, modality, leaves) - want).max() <= 1e-12
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int8, np.uint16, np.int32])
+    def test_narrow_integer_leaves(self, ref_model, dtype):
+        leaves = sample_joint_batch(ref_model, 20, stream(4, "dtype")).x_im
+        assert np.array_equal(root_posterior(ref_model, "im", leaves.astype(dtype)),
+                              root_posterior(ref_model, "im", leaves))
 
     def test_split_prior_is_none_times_prior(self, ref_model):
         leaves = sample_joint(ref_model, stream(3, "modes")).x_im
@@ -205,6 +225,14 @@ class TestDenoiser:
             want = exact_denoiser(ref_model, z, t, s.x_tx, ref_table)
             assert np.allclose(got, want, atol=1e-8)
             assert np.all((got >= 1) & (got <= 3))
+
+    def test_bound_denoiser_equals_fresh_calls(self, ref_model):
+        rng = stream(6, "bound")
+        s = sample_joint(ref_model, rng)
+        denoise = conditioned_denoiser(ref_model, s.x_tx)
+        for t in (0.0, 0.3, 2.0):
+            noisy = NoisyImage(t=t, z=rng.standard_normal((5, 4)) + t * s.x_im)
+            assert np.array_equal(denoise(noisy), bayes_denoiser(ref_model, noisy, s.x_tx))
 
     def test_huge_time_recovers_image(self, ref_model):
         rng = stream(8, "den2")

@@ -249,6 +249,26 @@ class TestOtherCommands:
     ("sweep", {"task": "zsc", "topology": TOPO, "p_flip_list": [0.2], "n": 10, "model_seed": True}),
     ("sweep", {"task": "zsc", "topology": TOPO, "p_flip_list": [0.2], "n": 10, "seed": 2**200}),
     ("zsc", {"topology": TOPO, "p_flip": 0.3, "n": 10, "gaussian_scale": float("nan")}),
+    ("cdm-sample", {"topology": TOPO, "p_flip": 0.3, "dt": True}),
+    ("cdm-sample", {"topology": TOPO, "p_flip": 0.3, "dt": "nan"}),
+    ("cdm-sample", {"topology": TOPO, "p_flip": 0.3, "dt": float("inf")}),
+    ("cdm-sample", {"topology": TOPO, "p_flip": 0.3, "T": "x"}),
+    ("cdm-sample", {"topology": TOPO, "p_flip": 0.3, "T": -1.0}),
+    ("cdm-sample", {"topology": TOPO, "p_flip": 0.3, "T": 1.0, "dt": 0.3}),
+    ("cdm-sample", {"topology": TOPO, "p_flip": 0.3, "T": 1e308, "dt": 1e-10}),
+    ("gen-model", {"topology": TOPO, "p_flip": "x"}),
+    ("gen-model", {"topology": TOPO, "p_flip": None}),
+    ("gen-model", {"topology": TOPO, "p_flip": 1.5}),
+    ("gen-model", {"topology": TOPO, "p_flip": 0.3, "p_flip_im": "x"}),
+    ("gen-model", {"topology": TOPO, "p_flip": 0.3, "p_flip_tx": True}),
+    ("gen-model", {"topology": {**TOPO, "n_states": "3"}, "p_flip": 0.3}),
+    ("gen-model", {"topology": {**TOPO, "n_states": 1}, "p_flip": 0.3}),
+    ("gen-model", {"topology": {**TOPO, "depth": 0}, "p_flip": 0.3}),
+    ("gen-model", {"topology": {**TOPO, "depth": 3}, "p_flip": 0.3}),
+    ("gen-model", {"topology": {**TOPO, "m_im": [2, "2"]}, "p_flip": 0.3}),
+    ("gen-model", {"topology": {**TOPO, "m_tx": 2}, "p_flip": 0.3}),
+    ("gen-model", {"topology": [1, 2], "p_flip": 0.3}),
+    ("gen-model", [1, 2]),
 ])
 def test_bad_config_exits_2_without_traceback(workdir, command, cfg):
     path = workdir / "bad.json"
@@ -266,6 +286,9 @@ VLM = {"topology": TOPO, "p_flip": 0.3, "model_seed": 3}
 EXPORT = {"topology": TOPO, "model_seed": 11, "n": 20, "seed": 3, "noise_t": 1.0}
 CDM = {"topology": {"depth": 1, "m_im": [2], "m_tx": [2], "n_states": 2}, "p_flip": 0.35,
        "model_seed": 3, "T": 8.0, "dt": 0.02, "n_paths": 400, "seed": 4}
+# the sweep configs of the clip-large and vlm-large benchmark workloads
+LARGE_SWEEP = {"topology": {"depth": 4, "m_im": [3, 3, 3, 3], "m_tx": [3, 3, 3, 3], "n_states": 10},
+               "model_seed": 11, "p_flip_list": [0.3], "train_p_flip": 0.2, "K": 8, "seed": 7}
 
 
 # sha256 prefixes of reference-scale outputs; any change to them is a change
@@ -288,9 +311,13 @@ CDM = {"topology": {"depth": 1, "m_im": [2], "m_tx": [2], "n_states": 2}, "p_fli
     ("export-dataset --with-messages", {**EXPORT, "p_flip": 0.3},
      {"dataset.jsonl": "c0bceaa9532e7600"}),
     ("cdm-sample", CDM, {"cdm_sample.csv": "a8818dcbc81c6087", "histogram.json": "92f00c59a8fe5115"}),
+    ("sweep", {**LARGE_SWEEP, "task": "clip", "n": 48}, {"sweep.csv": "ddd3a107ee09874c"}),
+    ("sweep", {**LARGE_SWEEP, "task": "vlm", "n": 96}, {"sweep.csv": "8af7bf90c4a67998"}),
+    ("cdm-sample", {**CDM, "train_p_flip": 0.2},
+     {"cdm_sample.csv": "c17aa851fb9b8fdd", "histogram.json": "cd2b5c0759cf3e91"}),
 ], ids=["sweep-clip", "sweep-zsc", "sweep-cdm", "sweep-vlm", "zsc-exact", "zsc-coarsened",
         "zsc-constant", "zsc-S9", "zsc-S10", "vlm-canonical", "vlm-coarsened", "vlm-constant",
-        "export-p0", "export-p0.3", "cdm-sample"])
+        "export-p0", "export-p0.3", "cdm-sample", "clip-large", "vlm-large", "cdm-sample-train"])
 def test_outputs_byte_identical(workdir, command, cfg, digests):
     path = workdir / "cfg.json"
     path.write_text(json.dumps(cfg))

@@ -26,6 +26,15 @@ class TestConfig:
         with pytest.raises(ModelError):
             SdeConfig(horizon=1.0, dt=0.1, n_paths=0, seed=0)
 
+    @pytest.mark.parametrize("horizon, dt, n_paths", [
+        (float("nan"), 0.1, 10), (1.0, float("inf"), 10),
+        (float("inf"), 0.1, 10), (True, 0.1, 10), (1.0, True, 10), ("1", 0.1, 10),
+        (1.0, 0.1, 1.5), (1.0, 0.1, True), (1e308, 1e-10, 10),
+    ])
+    def test_rejected_grids(self, horizon, dt, n_paths):
+        with pytest.raises(ModelError):
+            SdeConfig(horizon=horizon, dt=dt, n_paths=n_paths, seed=0)
+
 
 class TestRounding:
     def test_examples(self):

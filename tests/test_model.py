@@ -189,6 +189,16 @@ class TestPflipFamily:
         with pytest.raises(ModelError):
             ModelGenSpec(topology=topo(), p_flip=1.5, seed=0)
 
+    @pytest.mark.parametrize("kwargs", [
+        {"p_flip": None}, {"p_flip": "0.2"}, {"p_flip": True}, {"p_flip": float("nan")},
+        {"p_flip": 0.2, "p_flip_im": "x"}, {"p_flip": 0.2, "p_flip_tx": False},
+        {"p_flip": 0.2, "p_flip_tx": -0.1},
+    ])
+    def test_mixing_weight_must_be_a_real_probability(self, kwargs):
+        name = next(k for k in ("p_flip_im", "p_flip_tx", "p_flip") if k in kwargs)
+        with pytest.raises(ModelError, match=name):
+            ModelGenSpec(topology=topo(), seed=0, **kwargs)
+
     @given(
         st.integers(min_value=1, max_value=2),
         st.integers(min_value=1, max_value=3),
@@ -243,3 +253,37 @@ def test_models_are_frozen(ref_model):
         ref_model.root_prior[0] = 0.5
     with pytest.raises(ValueError):
         ref_model.kernels_im[0][0][0, 0] = 0.5
+    plan_arrays = [ref_model.root_cum]
+    for modality in ("im", "tx"):
+        plan = ref_model.plan(modality)
+        for table in (plan.cum, plan.down, plan.up, plan.columns):
+            assert len(table) == ref_model.topology.depth
+            plan_arrays.extend(table)
+    for a in plan_arrays:
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[(0,) * a.ndim] = 0.5
+
+
+def test_plan_tables_hold_the_kernels(ref_model):
+    S = ref_model.n_states
+    assert np.array_equal(ref_model.root_cum, np.cumsum(ref_model.root_prior))
+    for modality in ("im", "tx"):
+        plan = ref_model.plan(modality)
+        for level, kernels in enumerate(ref_model.kernels(modality)):
+            for j, k in enumerate(kernels):
+                block = slice(j * S, (j + 1) * S)
+                assert np.array_equal(plan.cum[level][j], np.cumsum(k, axis=1))
+                assert np.array_equal(plan.down[level][block, block], k.T)
+                assert np.array_equal(plan.up[level][block, block], k)
+                assert np.array_equal(plan.columns[level][block], k.T)
+            m = len(kernels)
+            assert np.count_nonzero(plan.up[level]) == np.count_nonzero(kernels)
+            assert plan.down[level].shape == (m * S, m * S)
+
+
+def test_kernel_shape_rejected_at_construction():
+    m = uniform_model()
+    with pytest.raises(ModelError, match="kernel shape"):
+        JghmModel(topology=m.topology, root_prior=m.root_prior,
+                  kernels_im=((np.eye(2), np.eye(2)), m.kernels_im[1]), kernels_tx=m.kernels_tx)

@@ -4,6 +4,9 @@ from scipy import stats
 
 from jghm import (
     ModelError,
+    ModelGenSpec,
+    TreeTopology,
+    make_pflip_model,
     noise_image,
     sample_joint,
     sample_joint_batch,
@@ -11,7 +14,8 @@ from jghm import (
     stream,
 )
 from jghm.oracle import encode_leaves, enumerate_joint
-from jghm.sampler import sample_contrastive_rows
+from jghm.presets import large_scale_topology, reference_topology
+from jghm.sampler import _sample_tree, sample_contrastive_rows
 from test_model import uniform_model
 
 ALPHA = 1e-6  # chi-square flake threshold; draws are seeded, so deterministic
@@ -81,6 +85,40 @@ class TestSampleJoint:
         assert s.x_im.shape == (4,) and s.x_tx.shape == (4,)
         assert 1 <= s.root <= 3
         assert s.levels_im[0].shape == (2,)
+
+
+def _per_rank_tree(model, modality, roots, rng):
+    """Reference ancestral pass: one cumsum-and-compare draw per rank and
+    level, ranks in order, each kernel row gathered per parent."""
+    levels = []
+    parents = roots[:, None]
+    for level_kernels in model.kernels(modality):
+        B, n_prev = parents.shape
+        children = np.empty((B, n_prev, len(level_kernels)), dtype=np.int64)
+        for j, kernel in enumerate(level_kernels):
+            rows = kernel[(parents - 1).reshape(-1)]
+            u = rng.random(rows.shape[0])
+            idx = np.minimum((u[:, None] > np.cumsum(rows, axis=1)).sum(axis=1), rows.shape[1] - 1)
+            children[:, :, j] = idx.reshape(B, n_prev) + 1
+        parents = children.reshape(B, -1)
+        levels.append(parents)
+    return tuple(levels)
+
+
+@pytest.mark.parametrize("topology", [
+    reference_topology(),
+    large_scale_topology(),
+    TreeTopology(depth=3, m_im=(1, 3, 2), m_tx=(2, 1, 1), n_states=4),
+], ids=["reference", "large", "mixed"])
+def test_table_sampler_matches_per_rank_loop(topology):
+    model = make_pflip_model(ModelGenSpec(topology=topology, p_flip=0.3, seed=7))
+    roots = stream(1, "plan-roots").integers(1, topology.n_states + 1, size=300)
+    for modality in ("im", "tx"):
+        got = _sample_tree(model, modality, roots, stream(2, "plan", modality))
+        want = _per_rank_tree(model, modality, roots, stream(2, "plan", modality))
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
 class TestContrastiveBatch:
