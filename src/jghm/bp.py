@@ -15,6 +15,13 @@ kernels and leaf columns are read from the model's plan (`JghmModel.plan`),
 built once per model. `root_log_posterior` enters the leaves rank by rank
 and never holds all leaf messages at once.
 
+Teacher-forced next-token prediction (`next_token_posteriors_parallel`) is
+one down pass and one up pass over complete messages only: the message into
+a node from outside its subtree, given every token before the subtree, is
+its parent's such message times the complete messages of its earlier
+siblings (an exclusive prefix product, the same one the cavities use), so
+every level costs one row per node.
+
 Log-domain beliefs appear only at the API and in exported messages: a
 `Belief` is a length-S vector of log-weights, normalized so its maximum entry
 is 0, with -inf for impossible states. `downsweep` and `upsweep` return their
@@ -100,13 +107,17 @@ def leaf_evidence_from_noise(z: np.ndarray, t: float, n_states: int) -> Belief:
     squared form cancels catastrophically. t = 0 carries no information and
     yields the all-zero belief.
     """
+    return normalize(_noise_profile(z, t, n_states))
+
+
+def _noise_profile(z: np.ndarray, t: float, n_states: int) -> Belief:
+    """`leaf_evidence_from_noise` before it is normalized."""
     z = np.asarray(z, dtype=float)
     check_time(t)
     if t == 0:
         return np.zeros(z.shape + (n_states,))
     s = np.arange(1, n_states + 1, dtype=float)
-    ev = s * z[..., None] - t * s**2 / 2.0
-    return normalize(ev)
+    return s * z[..., None] - t * s**2 / 2.0
 
 
 # ---------------------------------------------------------------------------
@@ -115,7 +126,8 @@ def leaf_evidence_from_noise(z: np.ndarray, t: float, n_states: int) -> Belief:
 
 
 def _rescale(h: np.ndarray) -> np.ndarray:
-    """Divide every node's message by its total.
+    """Divide every node's message by its total, in place: every caller
+    passes a fresh array, and writing back saves allocating another.
 
     The total is a matvec with ones: numpy's max or sum over a short last
     axis costs several times as much, and either scale keeps every node's
@@ -124,22 +136,17 @@ def _rescale(h: np.ndarray) -> np.ndarray:
     total = h @ np.ones(h.shape[-1])
     if not (total > 0).all():
         raise ModelError(IMPOSSIBLE)
-    return h / total[..., None]
+    return np.divide(h, total[..., None], out=h)
 
 
-def _by_rank(x: np.ndarray, blocks: np.ndarray, stride: int = 1) -> np.ndarray:
+def _by_rank(x: np.ndarray, blocks: np.ndarray) -> np.ndarray:
     """Multiply every row of a (..., n, S) array by its rank's kernel.
 
-    Row r belongs to child rank (r // stride) % m. `blocks` is a level's
-    block-diagonal matrix from the model plan: `down` maps child to parent
-    (x @ kernel.T), `up` parent to child (x @ kernel), so a level costs a
-    single matmul.
+    Row r belongs to child rank r % m. `blocks` is a level's block-diagonal
+    matrix from the model plan: `down` maps child to parent (x @ kernel.T),
+    `up` parent to child (x @ kernel), so a level costs a single matmul.
     """
-    S = x.shape[-1]
-    m = blocks.shape[0] // S
-    grouped = x.reshape(x.shape[:-2] + (-1, m, stride, S)).swapaxes(-3, -2)
-    out = grouped.reshape(-1, m * S) @ blocks
-    return out.reshape(grouped.shape).swapaxes(-3, -2).reshape(x.shape)
+    return (x.reshape(-1, blocks.shape[0]) @ blocks).reshape(x.shape)
 
 
 def _leaf_gather(columns: np.ndarray, leaves: np.ndarray) -> np.ndarray:
@@ -165,13 +172,22 @@ def _sibling_product(q: np.ndarray, m: int) -> np.ndarray:
     return h
 
 
+def _exclusive_prefix(g: np.ndarray) -> np.ndarray:
+    """For each child of (..., m, S) sibling groups, the product of its
+    earlier siblings' messages in rank order (ones for the first child)."""
+    out = np.empty_like(g)
+    out[..., 0, :] = 1.0
+    for j in range(1, g.shape[-2]):
+        np.multiply(out[..., j - 1, :], g[..., j - 1, :], out=out[..., j, :])
+    return out
+
+
 def _cavities(q: np.ndarray, m: int) -> np.ndarray:
     """For each child, the product of its siblings' messages, built from
     exclusive prefix and suffix products (no division)."""
     g = _group(q, m)
-    cav = np.ones_like(g)
-    np.cumprod(g[..., :-1, :], axis=-2, out=cav[..., 1:, :])
-    cav[..., :-1, :] *= np.cumprod(g[..., :0:-1, :], axis=-2)[..., ::-1, :]
+    cav = _exclusive_prefix(g)
+    cav *= _exclusive_prefix(g[..., ::-1, :])[..., ::-1, :]
     return cav.reshape(q.shape)
 
 
@@ -364,7 +380,8 @@ def conditioned_denoiser(model: JghmModel, x_tx: np.ndarray):
     states = np.arange(1, model.n_states + 1, dtype=float)
 
     def denoise(noisy: NoisyImage) -> np.ndarray:
-        ev = leaf_evidence_from_noise(noisy.z, noisy.t, model.n_states)
+        # _down_from_evidence normalizes the profile, once
+        ev = _noise_profile(noisy.z, noisy.t, model.n_states)
         return _leaf_posteriors(model, "im", ev, text_post) @ states
 
     return denoise
@@ -402,46 +419,36 @@ def next_token_posterior_bp(model: JghmModel, x_im: np.ndarray, prefix) -> np.nd
 
 
 def next_token_posteriors_parallel(model: JghmModel, x_im: np.ndarray, x_tx: np.ndarray) -> np.ndarray:
-    """All next-token posteriors from one downsweep plus one upsweep.
+    """All next-token posteriors from one down pass plus one up pass.
 
     Teacher forcing: given the full text, returns a (d_tx, S) array whose
-    row i equals P[x_tx,i+1 = . | x_im, x_tx,1:i]. Every array has one row
-    per leaf v; at level l that row stands for leaf v's level-l ancestor.
+    row i equals P[x_tx,i+1 = . | x_im, x_tx,1:i].
 
-    The down pass keeps, for each row, Q: the ancestor's message to its
-    parent restricted to the observed leaves <= v, and E: the product of
-    the complete messages of the ancestor's earlier siblings (complete at
-    their last leaf). H = E * Q is then the parent's restricted message.
-    The up pass carries D: for leaf v's level-l ancestor, the message from
-    outside its subtree given the image and the leaves before v. Multiplying
-    by E adds the ancestor's earlier siblings, which are fully observed; its
-    later siblings hold no observed leaf. No message is divided by another.
+    The down pass is the ordinary scaled one and keeps each level's
+    complete child-to-parent messages. It stops below the root: no output
+    row conditions on every token, and a root product would reject a text
+    whose subtrees are each possible but not jointly. The up pass carries, for
+    each level-l node u, D_l: the message into u from outside its subtree
+    given the image and every leaf before u's subtree. D_l is the parent's
+    D_(l-1) times the complete messages of u's earlier siblings (all their
+    leaves come before u's), pushed through u's kernel; at the leaves it is
+    the next-token posterior. Every level costs one row per node, and no
+    message is divided by another.
     """
-    topo = model.topology
     x_tx = _check_leaves(model, "tx", x_tx)
-    S, d, L, ms = topo.n_states, topo.d_tx, topo.depth, topo.m_tx
+    L, ms = model.topology.depth, model.topology.m_tx
     plan = model.plan_tx
-    strides = [int(np.prod(ms[level:], dtype=np.int64)) for level in range(L + 1)]
 
     img_post = root_posterior(model, "im", x_im)
 
-    Es = [None] * (L + 1)
-    Q = _leaf_gather(plan.columns[L - 1], x_tx)
-    for level in range(L, 0, -1):
-        m, stride = ms[level - 1], strides[level]
-        if level < L:
-            Q = _by_rank(H, plan.down[level - 1], stride=stride)
-        grouped = Q.reshape(Q.shape[:-2] + (-1, m, stride, S))
-        E = np.ones_like(grouped[..., -1:, :])
-        np.cumprod(grouped[..., :-1, -1:, :], axis=-3, out=E[..., 1:, :, :])
-        Es[level] = E
-        if level > 1:
-            H = _rescale((grouped * E).reshape(Q.shape))
+    qs = [_leaf_gather(plan.columns[L - 1], x_tx)]
+    for level in range(L - 1, 0, -1):
+        h = _rescale(_sibling_product(qs[0], ms[level]))
+        qs.insert(0, _by_rank(h, plan.down[level - 1]))
 
-    lead = np.broadcast_shapes(img_post.shape[:-1], x_tx.shape[:-1])
-    D = np.broadcast_to(img_post[..., None, :], lead + (d, S))
+    D = img_post[..., None, :]
     for level in range(1, L + 1):
-        m, stride = ms[level - 1], strides[level]
-        D = (D.reshape(lead + (-1, m, stride, S)) * Es[level]).reshape(lead + (d, S))
-        D = _rescale(_by_rank(D, plan.up[level - 1], stride=stride))
+        msg = D[..., None, :] * _exclusive_prefix(_group(qs[level - 1], ms[level - 1]))
+        msg = msg.reshape(msg.shape[:-3] + (-1, msg.shape[-1]))
+        D = _rescale(_by_rank(msg, plan.up[level - 1]))
     return D

@@ -183,10 +183,11 @@ def _gen_spec(cfg, p_flip=None) -> ModelGenSpec:
 def _resolve_model(cfg, p_flip=None) -> JghmModel:
     if "model_path" in cfg:
         try:
-            text = Path(cfg["model_path"]).read_text()
+            model = model_from_json(Path(cfg["model_path"]).read_text())
         except OSError as e:
             raise ConfigError(f"cannot read model_path {cfg['model_path']}: {e}") from e
-        model = model_from_json(text)
+        except ModelError as e:  # a bad topology, kernel shape or schema version
+            raise ConfigError(f"model_path {cfg['model_path']}: {e}") from e
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             validate_model(model)  # corrupted files fail with the named invariant

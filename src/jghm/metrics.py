@@ -18,6 +18,7 @@ from .model import JghmModel, ModelError
 from .oracle import (
     DEFAULT_BUDGET,
     JointTable,
+    _expected_kl,
     encoder_fibers,
     enumerate_joint,
     exact_suff_encoder,
@@ -311,8 +312,10 @@ def _prefix_codes(tuples: np.ndarray, n_states: int):
 
 
 def _token_mass(weights: np.ndarray, codes, tokens, n_prefix: int, S: int) -> np.ndarray:
-    mass = np.zeros((n_prefix, S))
-    np.add.at(mass, (codes, tokens), weights)
+    """Per row of `weights` (a mass on text tuples), the mass of each
+    (prefix, current token) pair, shape (rows, n_prefix, S)."""
+    mass = np.zeros(weights.shape[:-1] + (n_prefix, S))
+    np.add.at(mass, (..., codes, tokens), weights)
     return mass
 
 
@@ -322,45 +325,21 @@ def vlm_divergence(model: JghmModel, encoder, table: JointTable = None,
     encoder-restricted predictor, computed exactly by enumeration.
 
     D = E sum_i KL( P(x_tx,i | x_im, prefix) || P(x_tx,i | encoder(x_im), prefix) ).
+    Each position i is one expected KL over the (image, prefix) rows.
     """
     if table is None:
         table = enumerate_joint(model, budget)
     S = model.n_states
-    d_tx = model.topology.d_tx
     ids, n_fibers = encoder_fibers(encoder, table.tuples_im, table.p_im)
     fiber_joint = np.zeros((n_fibers, table.joint.shape[1]))
     np.add.at(fiber_joint, ids, table.joint)
-    positions = _prefix_codes(table.tuples_tx, S)
     suff = exact_suff_encoder(model, encoder, "im", table)
 
-    fiber_mass = []
-    for p, (codes, tokens) in enumerate(positions):
-        n_prefix = S**p
-        fiber_mass.append(
-            np.stack([_token_mass(fiber_joint[f], codes, tokens, n_prefix, S) for f in range(n_fibers)])
-        )
-
     total = 0.0
-    p_im = table.p_im
-    for i in range(len(p_im)):
-        if p_im[i] == 0:
-            continue
-        w = table.joint[i]
-        for p, (codes, tokens) in enumerate(positions):
-            tm = _token_mass(w, codes, tokens, S**p, S)
-            rows = tm.sum(axis=1, keepdims=True)
-            fm = fiber_mass[p][ids[i]]
-            frows = fm.sum(axis=1, keepdims=True)
-            sup = tm > 0
-            if np.any(fm[sup] == 0):
-                total = np.inf
-                break
-            with np.errstate(divide="ignore", invalid="ignore"):
-                log_true = np.where(sup, np.log(tm / rows), 0.0)
-                log_hat = np.where(sup, np.log(fm / frows), 0.0)
-            total += float(np.sum(tm[sup] * (log_true[sup] - log_hat[sup])))
-        if np.isinf(total):
-            break
+    for p, (codes, tokens) in enumerate(_prefix_codes(table.tuples_tx, S)):
+        true = _token_mass(table.joint, codes, tokens, S**p, S)
+        restricted = _token_mass(fiber_joint, codes, tokens, S**p, S)[ids]
+        total += _expected_kl(true.reshape(-1, S), restricted.reshape(-1, S))
     n_pairs = int(np.count_nonzero(table.joint))
     total = max(total, 0.0)
     return RiskReport(

@@ -59,8 +59,22 @@ class TreeTopology:
     n_states: int
 
     def __post_init__(self):
-        object.__setattr__(self, "m_im", tuple(int(m) for m in self.m_im))
-        object.__setattr__(self, "m_tx", tuple(int(m) for m in self.m_tx))
+        # counts are integers (numpy ones included), never bools or floats,
+        # so a value is never truncated on its way in
+        def integral(v):
+            return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+        for name in ("depth", "n_states"):
+            value = getattr(self, name)
+            if not integral(value):
+                raise ModelError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
+        for name in ("m_im", "m_tx"):
+            value = getattr(self, name)
+            ms = tuple(value) if np.iterable(value) else None
+            if ms is None or not all(integral(m) for m in ms):
+                raise ModelError(f"{name} must be a sequence of integers, got {value!r}")
+            object.__setattr__(self, name, tuple(int(m) for m in ms))
         problems = []
         if self.depth < 1:
             problems.append(f"depth must be >= 1, got {self.depth}")
@@ -413,9 +427,7 @@ def model_from_json(text: str) -> JghmModel:
     if doc.get("schema_version") != 1:
         raise ModelError(f"unsupported model schema_version {doc.get('schema_version')!r}")
     t = doc["topology"]
-    topo = TreeTopology(
-        depth=t["depth"], m_im=tuple(t["m_im"]), m_tx=tuple(t["m_tx"]), n_states=t["n_states"]
-    )
+    topo = TreeTopology(depth=t["depth"], m_im=t["m_im"], m_tx=t["m_tx"], n_states=t["n_states"])
     return JghmModel(
         topology=topo,
         root_prior=np.array(doc["root_prior"], dtype=float),

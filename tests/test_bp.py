@@ -20,16 +20,18 @@ from jghm import (
     stream,
     upsweep,
 )
+from jghm import bp
 from jghm.bp import _leaf_posteriors, evidence_from_states, leaf_evidence_from_noise
 from jghm.model import ModelGenSpec, TreeTopology, make_pflip_model
 from jghm.oracle import (
+    all_leaf_tuples,
     enumerate_joint,
     exact_conditional_root,
     exact_denoiser,
     exact_next_token,
 )
-from jghm.presets import diffusion_model, micro_model, reference_topology
-from jghm.sampler import NoisyImage
+from jghm.presets import diffusion_model, large_scale_topology, micro_model, reference_topology
+from jghm.sampler import NoisyImage, sample_text_for_class
 from test_model import uniform_model
 
 finite_beliefs = st.lists(
@@ -264,6 +266,16 @@ class TestDenoiser:
         for k in range(5):
             assert np.allclose(got[k], exact_denoiser(ref_model, z[k], t, s.x_tx, ref_table), atol=1e-8)
 
+    def test_noise_evidence_normalized_once_per_call(self, ref_model, monkeypatch):
+        s = sample_joint(ref_model, stream(11, "den5"))
+        noisy = NoisyImage(t=0.8, z=stream(11, "den5z").standard_normal((3, 4)))
+        want = bayes_denoiser(ref_model, noisy, s.x_tx)
+        denoise = conditioned_denoiser(ref_model, s.x_tx)
+        calls = []
+        monkeypatch.setattr(bp, "normalize", lambda b: calls.append(b.shape) or normalize(b))
+        assert np.array_equal(denoise(noisy), want)
+        assert calls == [(3, 4, 3)]
+
 
 class TestNextToken:
     def test_permutation_one_hot(self, perm_model):
@@ -340,6 +352,126 @@ class TestNextToken:
         onehot = np.zeros((4, 3))
         onehot[np.arange(4), s.x_tx - 1] = 1.0
         assert np.array_equal(par, onehot)
+
+
+def retired_next_token_posteriors(model, x_im, x_tx):
+    """The d_tx-row teacher-forced pass that the complete-message pass
+    replaced, kept as its reference. Every level holds one row per leaf v,
+    standing for v's level-l ancestor. Down, Q is the ancestor's message
+    restricted to the observed leaves <= v and E the product of its earlier
+    siblings' complete messages; up, D is the message from outside the
+    ancestor's subtree given the image and the leaves before v."""
+
+    def by_rank(x, blocks, stride):
+        # row r belongs to child rank (r // stride) % m
+        S = x.shape[-1]
+        m = blocks.shape[0] // S
+        grouped = x.reshape(x.shape[:-2] + (-1, m, stride, S)).swapaxes(-3, -2)
+        out = grouped.reshape(-1, m * S) @ blocks
+        return out.reshape(grouped.shape).swapaxes(-3, -2).reshape(x.shape)
+
+    topo = model.topology
+    x_tx = bp._check_leaves(model, "tx", x_tx)
+    S, d, L, ms = topo.n_states, topo.d_tx, topo.depth, topo.m_tx
+    plan = model.plan_tx
+    strides = [int(np.prod(ms[level:], dtype=np.int64)) for level in range(L + 1)]
+    img_post = root_posterior(model, "im", x_im)
+
+    Es = [None] * (L + 1)
+    Q = bp._leaf_gather(plan.columns[L - 1], x_tx)
+    for level in range(L, 0, -1):
+        m, stride = ms[level - 1], strides[level]
+        if level < L:
+            Q = by_rank(H, plan.down[level - 1], stride)
+        grouped = Q.reshape(Q.shape[:-2] + (-1, m, stride, S))
+        E = np.ones_like(grouped[..., -1:, :])
+        np.cumprod(grouped[..., :-1, -1:, :], axis=-3, out=E[..., 1:, :, :])
+        Es[level] = E
+        if level > 1:
+            H = bp._rescale((grouped * E).reshape(Q.shape))
+
+    lead = np.broadcast_shapes(img_post.shape[:-1], x_tx.shape[:-1])
+    D = np.broadcast_to(img_post[..., None, :], lead + (d, S))
+    for level in range(1, L + 1):
+        m, stride = ms[level - 1], strides[level]
+        D = (D.reshape(lead + (-1, m, stride, S)) * Es[level]).reshape(lead + (d, S))
+        D = bp._rescale(by_rank(D, plan.up[level - 1], stride))
+    return D
+
+
+def next_token_or_error(f, model, x_im, x_tx):
+    try:
+        return f(model, x_im, x_tx)
+    except ModelError:
+        return None
+
+
+class TestCompleteMessagePass:
+    """next_token_posteriors_parallel (one row per node and level) against
+    the retired one-row-per-leaf pass: the same values to 1e-14, the same
+    exact zeros and the same inputs rejected."""
+
+    TOPOLOGIES = {
+        "large": large_scale_topology(),
+        "reference": reference_topology(),
+        "mixed": TreeTopology(depth=3, m_im=(2, 1, 2), m_tx=(1, 3, 2), n_states=4),
+        "depth1": TreeTopology(depth=1, m_im=(3,), m_tx=(4,), n_states=3),
+    }
+
+    @staticmethod
+    def assert_same(got, want):
+        assert got.shape == want.shape
+        assert np.array_equal(got == 0, want == 0)
+        assert np.max(np.abs(got - want)) <= 1e-14
+
+    @pytest.mark.parametrize("name", TOPOLOGIES)
+    @pytest.mark.parametrize("p_flip", [0.0, 0.3])
+    def test_matches_retired_pass(self, name, p_flip):
+        m = make_pflip_model(ModelGenSpec(topology=self.TOPOLOGIES[name], p_flip=p_flip, seed=7))
+        for B in (1, 7, 96):
+            draws = sample_joint_batch(m, B, stream(40, "complete", name, str(p_flip), B))
+            x_im, x_tx = (draws.x_im[0], draws.x_tx[0]) if B == 1 else (draws.x_im, draws.x_tx)
+            self.assert_same(next_token_posteriors_parallel(m, x_im, x_tx),
+                             retired_next_token_posteriors(m, x_im, x_tx))
+        # one image against five texts of its root class
+        rng = stream(41, "complete", name, str(p_flip))
+        s = sample_joint(m, rng)
+        texts = sample_text_for_class(m, int(s.root), rng, size=5)
+        got = next_token_posteriors_parallel(m, s.x_im, texts)
+        assert got.shape == (5, m.topology.d_tx, m.n_states)
+        self.assert_same(got, retired_next_token_posteriors(m, s.x_im, texts))
+
+    @pytest.mark.parametrize("m_im, m_tx", [((2, 2), (3, 1)), ((2, 1), (1, 3)), ((1, 1, 2), (1, 3, 2))])
+    def test_same_inputs_rejected(self, m_im, m_tx):
+        # a permutation text tree under a noisy image tree: every image is
+        # possible, and many texts are impossible, some only jointly
+        topo = TreeTopology(depth=len(m_tx), m_im=m_im, m_tx=m_tx, n_states=2)
+        rejected = 0
+        for seed in range(4):
+            m = make_pflip_model(ModelGenSpec(topology=topo, p_flip=0.0, p_flip_im=0.3, seed=seed))
+            for x_im in all_leaf_tuples(topo.d_im, 2):
+                for x_tx in all_leaf_tuples(topo.d_tx, 2):
+                    got = next_token_or_error(next_token_posteriors_parallel, m, x_im, x_tx)
+                    want = next_token_or_error(retired_next_token_posteriors, m, x_im, x_tx)
+                    assert (got is None) == (want is None)
+                    if got is None:
+                        rejected += 1
+                    else:
+                        self.assert_same(got, want)
+        assert rejected > 0
+
+    def test_jointly_impossible_text_is_not_rejected(self):
+        # each level-1 subtree of the text is possible given the image, but
+        # not all three together; no output row conditions on all of them
+        topo = TreeTopology(depth=2, m_im=(2, 2), m_tx=(3, 1), n_states=2)
+        m = make_pflip_model(ModelGenSpec(topology=topo, p_flip=0.0, seed=4))
+        table = enumerate_joint(m)
+        x_im = table.tuples_im[np.argmax(table.p_im)]
+        x_tx = np.array([1, 1, 2])
+        assert table.p_tx[table.index("tx", x_tx)] == 0
+        got = next_token_posteriors_parallel(m, x_im, x_tx)
+        assert np.array_equal(got, [[1.0, 0.0], [1.0, 0.0], [1.0, 0.0]])
+        self.assert_same(got, retired_next_token_posteriors(m, x_im, x_tx))
 
 
 class TestLargeScale:

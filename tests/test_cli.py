@@ -175,6 +175,21 @@ class TestExportDataset:
         assert r.returncode == 1
         assert "row sums" in r.stderr
 
+    @pytest.mark.parametrize("field, value", [("n_states", "3"), ("m_im", [2.7, 2])])
+    def test_bad_model_file_topology_exits_2(self, workdir, field, value):
+        gen = workdir / "gen.json"
+        gen.write_text(json.dumps({"topology": TOPO, "p_flip": 0.3, "model_seed": 3}))
+        assert run_cli("gen-model", "--config", str(gen), "--out", str(workdir)).returncode == 0
+        doc = json.loads((workdir / "model.json").read_text())
+        doc["topology"][field] = value
+        (workdir / "model.json").write_text(json.dumps(doc))
+        cfg = workdir / "exp7.json"
+        cfg.write_text(json.dumps({"model_path": str(workdir / "model.json"), "n": 2, "seed": 1}))
+        r = run_cli("export-dataset", "--config", str(cfg), "--out", str(workdir / "d7"))
+        assert r.returncode == 2
+        assert "Traceback" not in r.stderr and r.stderr.startswith("error: ")
+        assert field in r.stderr
+
     def test_records_carry_build_metadata(self, workdir):
         cfg = workdir / "exp5.json"
         cfg.write_text(json.dumps({"topology": TOPO, "p_flip": 0.3, "model_seed": 3, "n": 1, "seed": 9}))
@@ -304,15 +319,15 @@ LARGE_SWEEP = {"topology": {"depth": 4, "m_im": [3, 3, 3, 3], "m_tx": [3, 3, 3, 
     ("zsc", {**ZSC, "topology": {**TOPO, "n_states": 9}}, {"zsc.csv": "31b0bc8f054eac65"}),
     ("zsc", {**ZSC, "topology": {**TOPO, "n_states": 10}}, {"zsc.csv": "12da635dcc7d9524"}),
     ("vlm", {**VLM, "encoder": "canonical"}, {"vlm.csv": "80618e2c91abfc84"}),
-    ("vlm", {**VLM, "encoder": "coarsened"}, {"vlm.csv": "b93ba286317949e1"}),
-    ("vlm", {**VLM, "encoder": "constant"}, {"vlm.csv": "381d7a7ed84a1667"}),
+    ("vlm", {**VLM, "encoder": "coarsened"}, {"vlm.csv": "5f09491360161afa"}),
+    ("vlm", {**VLM, "encoder": "constant"}, {"vlm.csv": "44fc2232d3454411"}),
     ("export-dataset --with-messages", {**EXPORT, "p_flip": 0.0},
      {"dataset.jsonl": "9df877237aa207a6"}),
     ("export-dataset --with-messages", {**EXPORT, "p_flip": 0.3},
      {"dataset.jsonl": "c0bceaa9532e7600"}),
     ("cdm-sample", CDM, {"cdm_sample.csv": "a8818dcbc81c6087", "histogram.json": "92f00c59a8fe5115"}),
     ("sweep", {**LARGE_SWEEP, "task": "clip", "n": 48}, {"sweep.csv": "ddd3a107ee09874c"}),
-    ("sweep", {**LARGE_SWEEP, "task": "vlm", "n": 96}, {"sweep.csv": "8af7bf90c4a67998"}),
+    ("sweep", {**LARGE_SWEEP, "task": "vlm", "n": 96}, {"sweep.csv": "6acb5133d13bebf4"}),
     ("cdm-sample", {**CDM, "train_p_flip": 0.2},
      {"cdm_sample.csv": "c17aa851fb9b8fdd", "histogram.json": "cd2b5c0759cf3e91"}),
 ], ids=["sweep-clip", "sweep-zsc", "sweep-cdm", "sweep-vlm", "zsc-exact", "zsc-coarsened",

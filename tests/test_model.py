@@ -42,6 +42,22 @@ class TestTopology:
         with pytest.raises(ModelError):
             TreeTopology(depth=1, m_im=(0,), m_tx=(1,), n_states=2)
 
+    @pytest.mark.parametrize("field, value", [
+        ("depth", 2.0), ("depth", True), ("depth", "2"), ("n_states", "3"), ("n_states", 3.0),
+        ("n_states", None), ("m_im", (2.7, 2)), ("m_im", (True, 2)), ("m_tx", (2, "2")),
+        ("m_tx", 2), ("m_tx", "22"),
+    ])
+    def test_non_integral_counts_rejected(self, field, value):
+        fields = {"depth": 2, "m_im": (2, 2), "m_tx": (2, 2), "n_states": 3, field: value}
+        with pytest.raises(ModelError, match=field):
+            TreeTopology(**fields)
+
+    def test_numpy_integers_accepted(self):
+        t = TreeTopology(depth=np.int64(2), m_im=np.array([2, 3]), m_tx=[np.int32(3), 1],
+                         n_states=np.uint8(3))
+        assert t == topo(m_im=(2, 3), m_tx=(3, 1))
+        assert all(type(v) is int for v in (t.depth, t.n_states, *t.m_im, *t.m_tx))
+
 
 class TestLeafIndex:
     def test_first_and_last(self):
