@@ -427,26 +427,25 @@ def next_token_posteriors_parallel(model: JghmModel, x_im: np.ndarray, x_tx: np.
     The down pass is the ordinary scaled one and keeps each level's
     complete child-to-parent messages. It stops below the root: no output
     row conditions on every token, and a root product would reject a text
-    whose subtrees are each possible but not jointly. The up pass carries, for
-    each level-l node u, D_l: the message into u from outside its subtree
-    given the image and every leaf before u's subtree. D_l is the parent's
-    D_(l-1) times the complete messages of u's earlier siblings (all their
-    leaves come before u's), pushed through u's kernel; at the leaves it is
-    the next-token posterior. Every level costs one row per node, and no
-    message is divided by another.
+    whose subtrees are each possible but not jointly.
+
+    The up pass carries, for each level-l node u, D_l: the message into u
+    from outside its subtree given the image and every leaf before u's
+    subtree. D_l is the parent's D_(l-1) times the complete messages of u's
+    earlier siblings (all their leaves come before u's), pushed through u's
+    kernel; at the leaves it is the next-token posterior. Every level costs
+    one row per node, and no message is divided by another.
     """
     x_tx = _check_leaves(model, "tx", x_tx)
     L, ms = model.topology.depth, model.topology.m_tx
     plan = model.plan_tx
-
-    img_post = root_posterior(model, "im", x_im)
+    D = root_posterior(model, "im", x_im)[..., None, :]
 
     qs = [_leaf_gather(plan.columns[L - 1], x_tx)]
     for level in range(L - 1, 0, -1):
         h = _rescale(_sibling_product(qs[0], ms[level]))
         qs.insert(0, _by_rank(h, plan.down[level - 1]))
 
-    D = img_post[..., None, :]
     for level in range(1, L + 1):
         msg = D[..., None, :] * _exclusive_prefix(_group(qs[level - 1], ms[level - 1]))
         msg = msg.reshape(msg.shape[:-3] + (-1, msg.shape[-1]))
