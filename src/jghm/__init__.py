@@ -35,6 +35,7 @@ from .bp import (
     posterior_floor,
     readout_bound,
     root_posterior,
+    text_log_likelihood,
     upsweep,
 )
 from .encoders import (

@@ -15,10 +15,19 @@ kernels and leaf columns are read from the model's plan (`JghmModel.plan`),
 built once per model. `root_log_posterior` enters the leaves rank by rank
 and never holds all leaf messages at once.
 
+There is one down pass, and it stops at level 1; each caller forms the root
+itself. Root posteriors multiply the level-1 messages and rescale them; the
+denoiser and the next-token passes never form the root product. The text
+likelihood (`text_log_likelihood`) takes it unscaled against the image
+posterior and adds back the log of every total the pass divided out, which
+is the likelihood of the scaled forward recipe. By the chain rule its
+negative is the sum of the teacher-forced next-token NLLs, so the vlm risk
+needs no next-token posteriors.
+
 Teacher-forced next-token prediction (`next_token_posteriors_parallel`) is
-one down pass and one up pass over complete messages only: the message into
-a node from outside its subtree, given every token before the subtree, is
-its parent's such message times the complete messages of its earlier
+the down pass plus one up pass over complete messages only: the message
+into a node from outside its subtree, given every token before the subtree,
+is its parent's such message times the complete messages of its earlier
 siblings (an exclusive prefix product, the same one the cavities use), so
 every level costs one row per node.
 
@@ -52,6 +61,7 @@ __all__ = [
     "upsweep",
     "root_log_posterior",
     "root_posterior",
+    "text_log_likelihood",
     "optimal_score",
     "readout_bound",
     "bayes_denoiser",
@@ -126,8 +136,10 @@ def _noise_profile(z: np.ndarray, t: float, n_states: int) -> Belief:
 
 
 def _rescale(h: np.ndarray) -> np.ndarray:
-    """Divide every node's message by its total, in place: every caller
-    passes a fresh array, and writing back saves allocating another.
+    """Divide every node's message by its total, in place, and return the
+    totals: every caller passes a fresh array, and writing back saves
+    allocating another. The likelihood is the product of the totals
+    divided out and what remains at the root.
 
     The total is a matvec with ones: numpy's max or sum over a short last
     axis costs several times as much, and either scale keeps every node's
@@ -136,7 +148,8 @@ def _rescale(h: np.ndarray) -> np.ndarray:
     total = h @ np.ones(h.shape[-1])
     if not (total > 0).all():
         raise ModelError(IMPOSSIBLE)
-    return np.divide(h, total[..., None], out=h)
+    np.divide(h, total[..., None], out=h)
+    return total
 
 
 def _by_rank(x: np.ndarray, blocks: np.ndarray) -> np.ndarray:
@@ -183,11 +196,15 @@ def _exclusive_prefix(g: np.ndarray) -> np.ndarray:
 
 
 def _cavities(q: np.ndarray, m: int) -> np.ndarray:
-    """For each child, the product of its siblings' messages, built from
-    exclusive prefix and suffix products (no division)."""
+    """For each child, the product of its siblings' messages: the exclusive
+    prefix product times a running product of the later siblings, taken
+    from the last child down (no division)."""
     g = _group(q, m)
     cav = _exclusive_prefix(g)
-    cav *= _exclusive_prefix(g[..., ::-1, :])[..., ::-1, :]
+    suffix = None
+    for j in range(m - 1, 0, -1):
+        suffix = g[..., j, :].copy() if suffix is None else np.multiply(suffix, g[..., j, :], out=suffix)
+        cav[..., j - 1, :] *= suffix
     return cav.reshape(q.shape)
 
 
@@ -197,26 +214,27 @@ def _prior_share(model: JghmModel, modality: str) -> np.ndarray:
     return model.root_prior ** (1.0 / model.topology.branching(modality)[0])
 
 
-def _down(model: JghmModel, modality: str, h: np.ndarray, prior_mode: str, qs: list):
-    """Scaled down pass from `h`, the unscaled messages of the level-(L-1)
-    nodes (each the product of its children's messages).
+def _down(model: JghmModel, modality: str, qs: list, h: np.ndarray = None):
+    """Scaled down pass from the leaves to level 1; it stops below the root,
+    which each caller forms (or not) itself.
 
-    Returns hs in probability domain, hs[l] for levels l = 0..L-1 with each
-    node scaled to total 1, and stores the level-l child-to-parent messages
-    in qs[l-1] for l = 1..L-1.
+    qs[L-1] holds the leaves' child-to-parent messages, or `h` is already
+    their product per level-(L-1) node (leaves entered rank by rank). Stores
+    the level-l child-to-parent messages in qs[l-1] for l = 1..L-1 and
+    returns (hs, totals): hs[l] the level-l products scaled to total 1 (hs[0]
+    is None), and the totals divided out, one array per level from L-1 down.
     """
-    depth = model.topology.depth
     ms = model.topology.branching(modality)
     down = model.plan(modality).down
-    hs = [None] * depth
-    hs[-1] = _rescale(h)
-    for level in range(depth - 1, 0, -1):
-        q = _by_rank(hs[level], down[level - 1])
-        if level == 1 and prior_mode == "split":
-            q = q * _prior_share(model, modality)
-        qs[level - 1] = q
-        hs[level - 1] = _rescale(_sibling_product(q, ms[level - 1]))
-    return hs
+    hs, totals = [None] * model.topology.depth, []
+    for level in range(model.topology.depth - 1, 0, -1):
+        if h is None:
+            h = _sibling_product(qs[level], ms[level])
+        totals.append(_rescale(h))
+        hs[level] = h
+        qs[level - 1] = _by_rank(h, down[level - 1])
+        h = None
+    return hs, totals
 
 
 def _up(model: JghmModel, modality: str, qs, h_leaf: np.ndarray, root_extra: np.ndarray):
@@ -229,10 +247,13 @@ def _up(model: JghmModel, modality: str, qs, h_leaf: np.ndarray, root_extra: np.
     for level, blocks in enumerate(model.plan(modality).up, start=1):
         m = ms[level - 1]
         msg = _group(_cavities(qs[level - 1], m), m) * out[..., None, :]
-        msg = _rescale(msg.reshape(msg.shape[:-3] + (-1, msg.shape[-1])))
+        msg = msg.reshape(msg.shape[:-3] + (-1, msg.shape[-1]))
+        _rescale(msg)
         bs.append(msg)
         out = _by_rank(msg, blocks)
-    bs.append(_rescale(out * h_leaf))
+    out *= h_leaf
+    _rescale(out)
+    bs.append(out)
     return bs
 
 
@@ -241,9 +262,10 @@ def _log(p: np.ndarray) -> Belief:
         return normalize(np.log(p))
 
 
-def _down_from_evidence(model: JghmModel, modality: str, evidence: Belief, prior_mode: str):
-    """Leaf evidence as probabilities and the scaled down pass above it:
-    (h_leaf, hs, qs) with qs[L-1] the leaves' child-to-parent messages."""
+def _down_from_evidence(model: JghmModel, modality: str, evidence: Belief):
+    """Leaf evidence as probabilities and the scaled down pass above it, to
+    level 1: (h_leaf, hs, qs) with qs[L-1] the leaves' child-to-parent
+    messages."""
     topo = model.topology
     if evidence.shape[-2:] != (topo.n_leaves(modality), topo.n_states):
         raise ModelError(
@@ -251,11 +273,8 @@ def _down_from_evidence(model: JghmModel, modality: str, evidence: Belief, prior
             f"({topo.n_leaves(modality)}, {topo.n_states})"
         )
     h_leaf = np.exp(normalize(evidence))
-    q = _by_rank(h_leaf, model.plan(modality).down[-1])
-    if topo.depth == 1 and prior_mode == "split":
-        q = q * _prior_share(model, modality)
-    qs = [None] * (topo.depth - 1) + [q]
-    hs = _down(model, modality, _sibling_product(q, topo.branching(modality)[-1]), prior_mode, qs)
+    qs = [None] * (topo.depth - 1) + [_by_rank(h_leaf, model.plan(modality).down[-1])]
+    hs, _ = _down(model, modality, qs)
     return h_leaf, hs, qs
 
 
@@ -270,7 +289,11 @@ def downsweep(model: JghmModel, modality: str, evidence: Belief, prior_mode: str
     """
     if prior_mode not in ("split", "none"):
         raise ModelError(f"unknown prior_mode {prior_mode!r}")
-    _, hs, qs = _down_from_evidence(model, modality, evidence, prior_mode)
+    _, hs, qs = _down_from_evidence(model, modality, evidence)
+    if prior_mode == "split":
+        qs[0] = qs[0] * _prior_share(model, modality)
+    hs[0] = _sibling_product(qs[0], model.topology.branching(modality)[0])
+    _rescale(hs[0])
     return MessageStack(h=tuple(_log(h) for h in hs) + (evidence,), q=tuple(_log(q) for q in qs))
 
 
@@ -306,9 +329,11 @@ def _check_leaves(model: JghmModel, modality: str, leaves) -> np.ndarray:
     return leaves
 
 
-def root_log_posterior(model: JghmModel, modality: str, leaves: np.ndarray) -> Belief:
-    """log P[root = s | leaves], exactly normalized."""
-    leaves = _check_leaves(model, modality, leaves)
+def _observed_root(model: JghmModel, modality: str, leaves: np.ndarray, share: np.ndarray = None):
+    """The root's unscaled product of its level-1 messages given observed
+    leaves, shape leaves.shape[:-1] + (1, S), and the totals the down pass
+    divided out below it. `share` (the prior share P^(1/m1), or None) is
+    multiplied into every level-1 message."""
     topo = model.topology
     S, m = topo.n_states, topo.branching(modality)[-1]
     columns = model.plan(modality).columns[-1]
@@ -318,17 +343,48 @@ def root_log_posterior(model: JghmModel, modality: str, leaves: np.ndarray) -> B
     h = None
     for j in range(m):
         q = np.take(columns, leaves[..., j::m] + np.intp(j * S - 1), axis=0)
-        if topo.depth == 1:
-            q *= _prior_share(model, modality)
+        if topo.depth == 1 and share is not None:
+            q *= share
         h = q if h is None else np.multiply(h, q, out=h)
-    hs = _down(model, modality, h, "split", [None] * topo.depth)
+    if topo.depth == 1:
+        return h, []
+    qs = [None] * topo.depth
+    _, totals = _down(model, modality, qs, h)
+    q = qs[0] if share is None else qs[0] * share
+    return _sibling_product(q, topo.branching(modality)[0]), totals
+
+
+def root_log_posterior(model: JghmModel, modality: str, leaves: np.ndarray) -> Belief:
+    """log P[root = s | leaves], exactly normalized."""
+    leaves = _check_leaves(model, modality, leaves)
+    root, _ = _observed_root(model, modality, leaves, _prior_share(model, modality))
+    _rescale(root)
     with np.errstate(divide="ignore"):
-        return np.log(hs[0][..., 0, :])
+        return np.log(root[..., 0, :])
 
 
 def root_posterior(model: JghmModel, modality: str, leaves: np.ndarray) -> np.ndarray:
     """P[root = s | leaves] as a probability vector."""
     return np.exp(root_log_posterior(model, modality, leaves))
+
+
+def text_log_likelihood(model: JghmModel, x_im: np.ndarray, x_tx: np.ndarray) -> np.ndarray:
+    """log P(x_tx | x_im) per row, by the scaled forward recipe.
+
+    The text's down pass runs to level 1 without the prior; at the root
+    log sum_s P[s | x_im] prod_c q_c[s] is taken unscaled, and the log of
+    every total the pass divided out is added back. By the chain rule,
+    -log P(x_tx | x_im) is the sum of the teacher-forced next-token NLLs.
+    Raises ModelError only where the image posterior does or a level >= 1
+    text node has no possible state; a text that is impossible only jointly
+    (at the root) or given the image yields -inf.
+    """
+    x_tx = _check_leaves(model, "tx", x_tx)
+    img_post = root_posterior(model, "im", x_im)
+    root, totals = _observed_root(model, "tx", x_tx)
+    log_scale = sum(np.log(total).sum(axis=-1) for total in totals)
+    with np.errstate(divide="ignore"):
+        return np.log((root[..., 0, :] * img_post).sum(axis=-1)) + log_scale
 
 
 def optimal_score(model: JghmModel, x_im: np.ndarray, x_tx: np.ndarray, clamp: float = None):
@@ -364,7 +420,7 @@ def posterior_floor(model: JghmModel) -> float:
 def _leaf_posteriors(model: JghmModel, modality: str, evidence: Belief, root_extra: np.ndarray) -> np.ndarray:
     """P[x_v = s | evidence, root_extra] for every leaf v; `root_extra` is a
     probability vector over the root."""
-    h_leaf, _, qs = _down_from_evidence(model, modality, evidence, "none")
+    h_leaf, _, qs = _down_from_evidence(model, modality, evidence)
     return _up(model, modality, qs, h_leaf, root_extra)[-1]
 
 
@@ -424,10 +480,10 @@ def next_token_posteriors_parallel(model: JghmModel, x_im: np.ndarray, x_tx: np.
     Teacher forcing: given the full text, returns a (d_tx, S) array whose
     row i equals P[x_tx,i+1 = . | x_im, x_tx,1:i].
 
-    The down pass is the ordinary scaled one and keeps each level's
-    complete child-to-parent messages. It stops below the root: no output
-    row conditions on every token, and a root product would reject a text
-    whose subtrees are each possible but not jointly.
+    The down pass is the ordinary scaled one, `_down`, and keeps each
+    level's complete child-to-parent messages. It stops below the root: no
+    output row conditions on every token, and a root product would reject a
+    text whose subtrees are each possible but not jointly.
 
     The up pass carries, for each level-l node u, D_l: the message into u
     from outside its subtree given the image and every leaf before u's
@@ -441,13 +497,11 @@ def next_token_posteriors_parallel(model: JghmModel, x_im: np.ndarray, x_tx: np.
     plan = model.plan_tx
     D = root_posterior(model, "im", x_im)[..., None, :]
 
-    qs = [_leaf_gather(plan.columns[L - 1], x_tx)]
-    for level in range(L - 1, 0, -1):
-        h = _rescale(_sibling_product(qs[0], ms[level]))
-        qs.insert(0, _by_rank(h, plan.down[level - 1]))
-
+    qs = [None] * (L - 1) + [_leaf_gather(plan.columns[L - 1], x_tx)]
+    _down(model, "tx", qs)
     for level in range(1, L + 1):
         msg = D[..., None, :] * _exclusive_prefix(_group(qs[level - 1], ms[level - 1]))
         msg = msg.reshape(msg.shape[:-3] + (-1, msg.shape[-1]))
-        D = _rescale(_by_rank(msg, plan.up[level - 1]))
+        D = _by_rank(msg, plan.up[level - 1])
+        _rescale(D)
     return D

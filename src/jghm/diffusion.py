@@ -115,11 +115,8 @@ def law_distance(counts: np.ndarray, cond: np.ndarray, cfg: SdeConfig,
     emp = counts / counts.sum()
     tv = 0.5 * float(np.abs(emp - cond).sum())
 
-    rng = stream(cfg.seed, "tv-bootstrap")
-    boot = np.empty(n_bootstrap)
-    for b in range(n_bootstrap):
-        resampled = rng.multinomial(cfg.n_paths, emp)
-        boot[b] = 0.5 * float(np.abs(resampled / cfg.n_paths - cond).sum())
+    resampled = stream(cfg.seed, "tv-bootstrap").multinomial(cfg.n_paths, emp, size=n_bootstrap)
+    boot = 0.5 * np.abs(resampled / cfg.n_paths - cond).sum(axis=1)
     se = float(boot.std(ddof=1))
     meta = {
         "t": cfg.horizon,

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bp import bayes_denoiser, next_token_posteriors_parallel, root_posterior
+from .bp import bayes_denoiser, root_posterior, text_log_likelihood
 from .model import JghmModel, ModelError
 from .oracle import (
     DEFAULT_BUDGET,
@@ -398,14 +398,11 @@ def _cdm_losses(models, B, c, seed, K, t):
 
 
 def _vlm_losses(models, B, c, seed, K, t):
+    # the mean teacher-forced next-token NLL of a row is, by the chain rule,
+    # -log P(x_tx | x_im) / d_tx
     draws = sample_joint_batch(models[0], B, stream(seed, "misspec-vlm", c))
-    nlls = []
-    for model in models:
-        post = next_token_posteriors_parallel(model, draws.x_im, draws.x_tx)
-        tok = np.take_along_axis(post, (draws.x_tx - 1)[..., None], axis=-1)[..., 0]
-        with np.errstate(divide="ignore"):
-            nlls.append(-np.log(tok).mean(axis=-1))
-    return tuple(nlls)
+    d_tx = models[0].topology.d_tx
+    return tuple(-text_log_likelihood(model, draws.x_im, draws.x_tx) / d_tx for model in models)
 
 
 # task -> (per-row losses of one chunk, one array per model, for the distinct

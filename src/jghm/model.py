@@ -422,20 +422,38 @@ def model_to_json(model: JghmModel) -> str:
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
+def _field(doc: dict, name: str, read):
+    """read(doc[name]); a missing or malformed field raises ModelError naming it."""
+    if name not in doc:
+        raise ModelError(f"model has no {name!r} field")
+    try:
+        return read(doc[name])
+    except KeyError as e:
+        raise ModelError(f"model field {name!r} has no {e} entry") from e
+    except (TypeError, ValueError) as e:  # ModelError included
+        raise ModelError(f"model field {name!r}: {e}") from e
+
+
+def _kernels_from_json(levels) -> tuple:
+    return tuple(tuple(np.array(k, dtype=float) for k in level) for level in levels)
+
+
 def model_from_json(text: str) -> JghmModel:
-    doc = json.loads(text)
+    """Parse a `model_to_json` document. Anything that is not one, a
+    malformed field included, raises ModelError."""
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as e:
+        raise ModelError(f"model is not JSON: {e}") from e
+    if not isinstance(doc, dict):
+        raise ModelError(f"model must be a JSON object, got {type(doc).__name__}")
     if doc.get("schema_version") != 1:
         raise ModelError(f"unsupported model schema_version {doc.get('schema_version')!r}")
-    t = doc["topology"]
-    topo = TreeTopology(depth=t["depth"], m_im=t["m_im"], m_tx=t["m_tx"], n_states=t["n_states"])
     return JghmModel(
-        topology=topo,
-        root_prior=np.array(doc["root_prior"], dtype=float),
-        kernels_im=tuple(
-            tuple(np.array(k, dtype=float) for k in level) for level in doc["kernels_im"]
-        ),
-        kernels_tx=tuple(
-            tuple(np.array(k, dtype=float) for k in level) for level in doc["kernels_tx"]
-        ),
+        topology=_field(doc, "topology", lambda t: TreeTopology(
+            depth=t["depth"], m_im=t["m_im"], m_tx=t["m_tx"], n_states=t["n_states"])),
+        root_prior=_field(doc, "root_prior", lambda p: np.array(p, dtype=float)),
+        kernels_im=_field(doc, "kernels_im", _kernels_from_json),
+        kernels_tx=_field(doc, "kernels_tx", _kernels_from_json),
         metadata=doc.get("metadata", {}),
     )

@@ -18,13 +18,16 @@ from jghm import (
     sample_joint,
     sample_joint_batch,
     stream,
+    text_log_likelihood,
     upsweep,
 )
 from jghm import bp
-from jghm.bp import _leaf_posteriors, evidence_from_states, leaf_evidence_from_noise
+from jghm.bp import _leaf_posteriors, evidence_from_states, leaf_evidence_from_noise, root_log_posterior
 from jghm.model import ModelGenSpec, TreeTopology, make_pflip_model
 from jghm.oracle import (
     all_leaf_tuples,
+    config_count,
+    encode_leaves,
     enumerate_joint,
     exact_conditional_root,
     exact_denoiser,
@@ -388,14 +391,16 @@ def retired_next_token_posteriors(model, x_im, x_tx):
         np.cumprod(grouped[..., :-1, -1:, :], axis=-3, out=E[..., 1:, :, :])
         Es[level] = E
         if level > 1:
-            H = bp._rescale((grouped * E).reshape(Q.shape))
+            H = (grouped * E).reshape(Q.shape)
+            bp._rescale(H)
 
     lead = np.broadcast_shapes(img_post.shape[:-1], x_tx.shape[:-1])
     D = np.broadcast_to(img_post[..., None, :], lead + (d, S))
     for level in range(1, L + 1):
         m, stride = ms[level - 1], strides[level]
         D = (D.reshape(lead + (-1, m, stride, S)) * Es[level]).reshape(lead + (d, S))
-        D = bp._rescale(by_rank(D, plan.up[level - 1], stride))
+        D = by_rank(D, plan.up[level - 1], stride)
+        bp._rescale(D)
     return D
 
 
@@ -472,6 +477,69 @@ class TestCompleteMessagePass:
         got = next_token_posteriors_parallel(m, x_im, x_tx)
         assert np.array_equal(got, [[1.0, 0.0], [1.0, 0.0], [1.0, 0.0]])
         self.assert_same(got, retired_next_token_posteriors(m, x_im, x_tx))
+        # the last token has probability 0, and so has the whole text
+        assert -text_log_likelihood(m, x_im, x_tx) / 3 == np.inf
+        # the up pass still rejects evidence impossible only at the root,
+        # though no root product is formed on the way down
+        with pytest.raises(ModelError):
+            _leaf_posteriors(m, "tx", evidence_from_states(x_tx, 2), m.root_prior)
+
+
+class TestTextLikelihood:
+    """text_log_likelihood: log P(x_tx | x_im) from one scaled down pass."""
+
+    @staticmethod
+    def impossible_subtree(topo, table):
+        """Per text tuple: whether the leaves under some level-1 node have
+        zero marginal mass (a level-1 block of d_tx / m1 leaves)."""
+        S, size = topo.n_states, topo.d_tx // topo.m_tx[0]
+        flags = np.zeros(len(table.p_tx), dtype=bool)
+        for lo in range(0, topo.d_tx, size):
+            codes = encode_leaves(table.tuples_tx[:, lo:lo + size], S)
+            flags |= np.bincount(codes, weights=table.p_tx, minlength=S**size)[codes] == 0
+        return flags
+
+    @pytest.mark.parametrize("name", ["reference", "mixed", "depth1"])
+    @pytest.mark.parametrize("p_flip", [0.0, 0.3])
+    def test_matches_oracle(self, name, p_flip):
+        topo = TestCompleteMessagePass.TOPOLOGIES[name]
+        m = make_pflip_model(ModelGenSpec(topology=topo, p_flip=p_flip, seed=7))
+        table = enumerate_joint(m, budget=config_count(topo))
+        flags = self.impossible_subtree(topo, table)
+        assert flags.any() == (p_flip == 0 and name != "depth1")
+        for x_tx in table.tuples_tx[flags]:
+            # a level-1 text node has no possible state: both raise
+            with pytest.raises(ModelError):
+                text_log_likelihood(m, table.tuples_im[0], x_tx)
+            with pytest.raises(ModelError):
+                root_log_posterior(m, "tx", x_tx)
+        for x_tx in table.tuples_tx[~flags & (table.p_tx == 0)]:
+            # impossible only at the root: the posterior raises, and the
+            # likelihood is -inf (below, since the joint column is 0)
+            with pytest.raises(ModelError):
+                root_log_posterior(m, "tx", x_tx)
+        texts = table.tuples_tx[~flags]
+        for i in np.flatnonzero(table.p_im > 0):
+            got = text_log_likelihood(m, table.tuples_im[i], texts)
+            with np.errstate(divide="ignore"):
+                want = np.log(table.joint[i, ~flags] / table.p_im[i])
+            assert np.array_equal(got == -np.inf, want == -np.inf)
+            ok = want > -np.inf
+            assert np.max(np.abs(got[ok] - want[ok]), initial=0.0) <= 1e-12
+
+    @pytest.mark.parametrize("p_flip", [0.05, 0.3])
+    def test_large_scale_equals_next_token_nll(self, p_flip):
+        m = make_pflip_model(ModelGenSpec(topology=large_scale_topology(), p_flip=p_flip, seed=11))
+        d = m.topology.d_tx
+        for B in (1, 7, 96):
+            draws = sample_joint_batch(m, B, stream(42, "chain-rule", str(p_flip), B))
+            x_im, x_tx = (draws.x_im[0], draws.x_tx[0]) if B == 1 else (draws.x_im, draws.x_tx)
+            post = next_token_posteriors_parallel(m, x_im, x_tx)
+            tok = np.take_along_axis(post, (x_tx - 1)[..., None], axis=-1)[..., 0]
+            want = -np.log(tok).mean(axis=-1)
+            got = -text_log_likelihood(m, x_im, x_tx) / d
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want) / want) <= 1e-14
 
 
 class TestLargeScale:

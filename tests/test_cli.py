@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from jghm import ModelGenSpec, TreeTopology, make_pflip_model, misspec_bp_eval
+from jghm.model import model_to_json
 from jghm.cli import main
 
 TOPO = {"depth": 2, "m_im": [2, 2], "m_tx": [2, 2], "n_states": 3}
@@ -190,6 +191,25 @@ class TestExportDataset:
         assert "Traceback" not in r.stderr and r.stderr.startswith("error: ")
         assert field in r.stderr
 
+    @pytest.mark.parametrize("malformed, named", [
+        (lambda doc: "{not json", "JSON"),
+        (lambda doc: json.dumps({**doc, "topology": {k: v for k, v in doc["topology"].items()
+                                                     if k != "depth"}}), "depth"),
+        (lambda doc: json.dumps({**doc, "root_prior": "x"}), "root_prior"),
+        (lambda doc: json.dumps({**doc, "kernels_im": 5}), "kernels_im"),
+        (lambda doc: json.dumps([doc]), "JSON object"),
+    ], ids=["not-json", "no-depth", "root-prior-string", "kernels-number", "list"])
+    def test_malformed_model_file_exits_2(self, workdir, malformed, named):
+        doc = json.loads(model_to_json(make_pflip_model(
+            ModelGenSpec(topology=TreeTopology(**TOPO), p_flip=0.3, seed=3))))
+        (workdir / "model.json").write_text(malformed(doc))
+        cfg = workdir / "exp8.json"
+        cfg.write_text(json.dumps({"model_path": str(workdir / "model.json"), "n": 2, "seed": 1}))
+        r = run_cli("export-dataset", "--config", str(cfg), "--out", str(workdir / "d8"))
+        assert r.returncode == 2
+        assert "Traceback" not in r.stderr and r.stderr.startswith("error: ")
+        assert named in r.stderr
+
     def test_records_carry_build_metadata(self, workdir):
         cfg = workdir / "exp5.json"
         cfg.write_text(json.dumps({"topology": TOPO, "p_flip": 0.3, "model_seed": 3, "n": 1, "seed": 9}))
@@ -312,7 +332,7 @@ LARGE_SWEEP = {"topology": {"depth": 4, "m_im": [3, 3, 3, 3], "m_tx": [3, 3, 3, 
     ("sweep", {**SWEEP, "task": "clip"}, {"sweep.csv": "05e5b3ea54924243"}),
     ("sweep", {**SWEEP, "task": "zsc"}, {"sweep.csv": "0effb6eb74e2ce91"}),
     ("sweep", {**SWEEP, "task": "cdm"}, {"sweep.csv": "854b3fc63d2f9892"}),
-    ("sweep", {**SWEEP, "task": "vlm"}, {"sweep.csv": "130d11f6c5794f99"}),
+    ("sweep", {**SWEEP, "task": "vlm"}, {"sweep.csv": "b9ca0df2c8bd6276"}),
     ("zsc", {**ZSC, "score": "exact"}, {"zsc.csv": "794ca8b1a00af0d5"}),
     ("zsc", {**ZSC, "score": "coarsened"}, {"zsc.csv": "43d51229ebc70ad3"}),
     ("zsc", {**ZSC, "score": "constant"}, {"zsc.csv": "2a7e41028995faa9"}),
@@ -327,7 +347,7 @@ LARGE_SWEEP = {"topology": {"depth": 4, "m_im": [3, 3, 3, 3], "m_tx": [3, 3, 3, 
      {"dataset.jsonl": "c0bceaa9532e7600"}),
     ("cdm-sample", CDM, {"cdm_sample.csv": "a8818dcbc81c6087", "histogram.json": "92f00c59a8fe5115"}),
     ("sweep", {**LARGE_SWEEP, "task": "clip", "n": 48}, {"sweep.csv": "ddd3a107ee09874c"}),
-    ("sweep", {**LARGE_SWEEP, "task": "vlm", "n": 96}, {"sweep.csv": "6acb5133d13bebf4"}),
+    ("sweep", {**LARGE_SWEEP, "task": "vlm", "n": 96}, {"sweep.csv": "a72ab6492f3cc794"}),
     ("cdm-sample", {**CDM, "train_p_flip": 0.2},
      {"cdm_sample.csv": "c17aa851fb9b8fdd", "histogram.json": "cd2b5c0759cf3e91"}),
 ], ids=["sweep-clip", "sweep-zsc", "sweep-cdm", "sweep-vlm", "zsc-exact", "zsc-coarsened",

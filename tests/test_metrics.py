@@ -261,13 +261,13 @@ class TestMisspec:
         train = ref_model if matched else make_pflip_model(
             ModelGenSpec(topology=reference_topology(), p_flip=0.2, seed=31))
         calls = []
-        real = metrics.next_token_posteriors_parallel
+        real = metrics.text_log_likelihood
 
         def counting(model, *args):
             calls.append(model)
             return real(model, *args)
 
-        monkeypatch.setattr(metrics, "next_token_posteriors_parallel", counting)
+        monkeypatch.setattr(metrics, "text_log_likelihood", counting)
         misspec_bp_eval(train, ref_model, "vlm", n=CHUNK + 1, seed=19)
         assert len(calls) == 2 * per_chunk  # two chunks
         assert {id(m) for m in calls} == {id(ref_model), id(train)}
