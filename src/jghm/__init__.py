@@ -12,6 +12,7 @@ from .model import (
     make_pflip_model,
     model_from_json,
     model_to_json,
+    topology_from_json,
     validate_model,
 )
 from .sampler import (
@@ -31,7 +32,6 @@ from .bp import (
     next_token_posterior_bp,
     next_token_posteriors_parallel,
     normalize,
-    optimal_score,
     posterior_floor,
     readout_bound,
     root_posterior,
@@ -68,11 +68,10 @@ from .metrics import (
     clip_risk,
     misspec_bp_eval,
     vlm_divergence,
-    zsc_kl,
     zsc_kl_sweep,
     zsc_predict,
 )
-from .diffusion import SdeConfig, round_to_states, sample_image_sde, sampled_law_distance
+from .diffusion import SdeConfig, round_to_states, sample_image_sde
 from .rng import stream
 
 __version__ = "0.1.0"

@@ -48,7 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import JghmModel, ModelError
+from .model import JghmModel, ModelError, effective_b_psi
 from .sampler import NoisyImage, check_time
 
 __all__ = [
@@ -62,7 +62,6 @@ __all__ = [
     "root_log_posterior",
     "root_posterior",
     "text_log_likelihood",
-    "optimal_score",
     "readout_bound",
     "bayes_denoiser",
     "conditioned_denoiser",
@@ -387,31 +386,15 @@ def text_log_likelihood(model: JghmModel, x_im: np.ndarray, x_tx: np.ndarray) ->
         return np.log((root[..., 0, :] * img_post).sum(axis=-1)) + log_scale
 
 
-def optimal_score(model: JghmModel, x_im: np.ndarray, x_tx: np.ndarray, clamp: float = None):
-    """Pointwise mutual information log[P(x_im, x_tx) / (P(x_im) P(x_tx))].
-
-    Computed as log sum_s P[s|x_im] P[s|x_tx] / P[s]; -inf signals a
-    zero-probability pairing. `clamp` optionally projects the value onto
-    [-clamp, clamp] (the truncated-readout variant).
-    """
-    p_im = root_posterior(model, "im", x_im)
-    p_tx = root_posterior(model, "tx", x_tx)
-    with np.errstate(divide="ignore"):
-        score = np.log(np.sum(p_im * p_tx / model.root_prior, axis=-1))
-    if clamp is not None:
-        score = np.clip(score, -clamp, clamp)
-    return score
-
-
 def readout_bound(model: JghmModel) -> float:
     """Score truncation radius 4 * m1 * log(B_psi); inf for unbounded models."""
-    b = model.b_psi()
+    b = effective_b_psi(model)
     return np.inf if not np.isfinite(b) else 4.0 * model.topology.m_first * np.log(b)
 
 
 def posterior_floor(model: JghmModel) -> float:
     """Lower bound 1 / (B_psi^(2 m1) * S) on every root-posterior entry."""
-    b = model.b_psi()
+    b = effective_b_psi(model)
     if not np.isfinite(b):
         return 0.0
     return 1.0 / (b ** (2 * model.topology.m_first) * model.n_states)

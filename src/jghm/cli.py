@@ -6,7 +6,8 @@ are CSV (metrics) and JSONL (datasets) carrying a build id, the seed and a
 config hash, and are byte-identical across reruns and thread counts.
 
 Exit codes: 0 success, 1 invariant or acceptance failure, 2 usage/config
-error.
+error, a config whose topology exceeds the enumeration budget of an exact
+command (`vlm`, `cdm-sample`) included.
 """
 
 import argparse
@@ -29,7 +30,6 @@ from .bp import (
     leaf_evidence_from_noise,
     next_token_posterior_bp,
     next_token_posteriors_parallel,
-    optimal_score,
     root_log_posterior,
     root_posterior,
     upsweep,
@@ -52,6 +52,7 @@ from .model import (
     make_pflip_model,
     model_from_json,
     model_to_json,
+    topology_from_json,
     validate_model,
 )
 from .oracle import (
@@ -143,26 +144,12 @@ def _text(value, model) -> np.ndarray:
     return np.asarray(value, dtype=np.int64)
 
 
-def _counts(name, value) -> tuple:
-    """A config list of branching factors, each a count >= 1."""
-    if not isinstance(value, list):
-        raise ConfigError(f"{name} must be a list of integers >= 1, got {value!r}")
-    return tuple(_count(f"{name} entry", m) for m in value)
-
-
 def _topology(cfg) -> TreeTopology:
-    t = cfg.get("topology")
-    if not isinstance(t, dict):
-        raise ConfigError(f"topology must be an object, got {t!r}")
+    """The config topology, read as a model file's is."""
     try:
-        return TreeTopology(
-            depth=_count("depth", t["depth"]), m_im=_counts("m_im", t["m_im"]),
-            m_tx=_counts("m_tx", t["m_tx"]), n_states=_count("n_states", t["n_states"], minimum=2)
-        )
-    except KeyError as e:
-        raise ConfigError(f"topology config is missing {e}") from e
+        return topology_from_json(cfg.get("topology"))
     except ModelError as e:
-        raise ConfigError(f"topology: {e}") from e
+        raise ConfigError(str(e)) from e
 
 
 def _gen_spec(cfg, p_flip=None) -> ModelGenSpec:
@@ -266,7 +253,10 @@ def cmd_sweep(args) -> int:
     kwargs = {"n": _count("n", cfg.get("n", 2000)), "seed": seed,
               "K": _count("K", cfg.get("K", 8), minimum=2), "t": _time("t", cfg.get("t", 1.0))}
     threads = _count("--threads", args.threads)
-    train_p = cfg.get("train_p_flip", 0.2 if cfg.get("ood") else None)
+    ood = cfg.get("ood", False)
+    if not isinstance(ood, bool):
+        raise ConfigError(f"ood must be true or false, got {ood!r}")
+    train_p = cfg.get("train_p_flip", 0.2 if ood else None)
     train_model = None
     if train_p is not None:
         train_model = make_pflip_model(_gen_spec(cfg, p_flip=_probability("train_p_flip", train_p)))
@@ -420,7 +410,7 @@ def _selftest_bp_vs_oracle(model, label, failures):
         i, j = table.index("im", s.x_im), table.index("tx", s.x_tx)
         with np.errstate(divide="ignore"):
             ref = np.log(table.joint[i, j] / (table.p_im[i] * table.p_tx[j]))
-        got = optimal_score(model, s.x_im, s.x_tx)
+        got = exact_score(model)(s.x_im, s.x_tx)
         ok &= (np.isneginf(ref) and np.isneginf(got)) or abs(got - ref) < 1e-8
         for t in (0.0, 1.0):
             noisy = noise_image(s.x_im, t, rng)
@@ -511,7 +501,7 @@ def main(argv=None) -> int:
         return args.fn(args)
     except (ConfigError, ModelError, BudgetExceeded) as e:
         print(f"error: {e}", file=sys.stderr)
-        return 2 if isinstance(e, ConfigError) else 1
+        return 1 if isinstance(e, ModelError) else 2
 
 
 if __name__ == "__main__":

@@ -19,8 +19,7 @@ from .metrics import RiskReport
 from .rng import stream
 from .sampler import NoisyImage
 
-__all__ = ["SdeConfig", "sample_image_sde", "round_to_states", "sampled_law", "law_distance",
-           "sampled_law_distance"]
+__all__ = ["SdeConfig", "sample_image_sde", "round_to_states", "sampled_law", "law_distance"]
 
 TRAJ_CHUNK = 2048
 
@@ -125,12 +124,3 @@ def law_distance(counts: np.ndarray, cond: np.ndarray, cfg: SdeConfig,
         "drift": "exact" if drift_model is None else "misspecified",
     }
     return RiskReport("sde_tv", tv, se, cfg.n_paths, meta)
-
-
-def sampled_law_distance(model: JghmModel, x_tx: np.ndarray, cfg: SdeConfig,
-                         drift_model: JghmModel = None, budget: int = DEFAULT_BUDGET,
-                         n_bootstrap: int = 200) -> RiskReport:
-    """Total variation between the rounded SDE output law and the exact
-    conditional P(x_im | x_tx); the standard error is a multinomial bootstrap."""
-    counts, cond = sampled_law(model, x_tx, cfg, drift_model, budget)
-    return law_distance(counts, cond, cfg, drift_model, n_bootstrap)

@@ -19,9 +19,8 @@ from .oracle import (
     DEFAULT_BUDGET,
     JointTable,
     _expected_kl,
-    encoder_fibers,
+    _fiber_joint,
     enumerate_joint,
-    exact_suff_encoder,
     kl_rows,
     score_matrix,
 )
@@ -35,7 +34,6 @@ __all__ = [
     "clip_risk",
     "clip_excess_and_mi_limit",
     "zsc_predict",
-    "zsc_kl",
     "zsc_kl_sweep",
     "zsc_infinite_sample_predict",
     "cdm_estimation_error",
@@ -217,14 +215,9 @@ def zsc_infinite_sample_predict(model: JghmModel, score, x_im, table: JointTable
     return num / w.sum()
 
 
-def zsc_kl(model: JghmModel, score, M: int, n: int, seed: int) -> RiskReport:
-    """E_x KL(P(y | x_im) || predicted class distribution), MC over images."""
-    reports = zsc_kl_sweep(model, score, [M], n, seed)
-    return reports[0]
-
-
 def zsc_kl_sweep(model: JghmModel, score, M_list, n: int, seed: int):
-    """KL risk across an M sweep with nested text samples.
+    """E_x KL(P(y | x_im) || predicted class distribution), MC over images,
+    for each M of an M sweep with nested text samples.
 
     The same images serve every M, and the texts for smaller M are prefixes
     of the largest draw, so the sweep is maximally paired.
@@ -265,12 +258,10 @@ def cdm_estimation_error(model: JghmModel, encoder, t: float = 1.0, n: int = 100
     """
     if table is None:
         table = enumerate_joint(model, budget)
-    ids, n_fibers = encoder_fibers(encoder, table.tuples_tx, table.p_tx)
-    onehot = np.zeros((len(ids), n_fibers))
-    onehot[np.arange(len(ids)), ids] = 1.0
-    im_fiber = table.joint @ onehot  # (N_im, F): P(x_im = i, fiber = f)
+    # fiber_joint[f, i] = P(encoder fiber f of x_tx, x_im = i)
+    ids, joint, fiber_joint = _fiber_joint(table, "tx", encoder)
     x_all = table.tuples_im.astype(float)  # (N_im, d_im)
-    suff = exact_suff_encoder(model, encoder, "tx", table)
+    suff = _expected_kl(joint, fiber_joint[ids])
 
     errs = np.empty(n)
     for c, lo, hi in _chunks(n):
@@ -280,7 +271,7 @@ def cdm_estimation_error(model: JghmModel, encoder, t: float = 1.0, n: int = 100
         m_star = bayes_denoiser(model, noisy, draws.x_tx)
         f = ids[table.index("tx", draws.x_tx)]
         with np.errstate(divide="ignore"):
-            logw = np.log(im_fiber[:, f].T)  # (B, N_im)
+            logw = np.log(fiber_joint[f])  # (B, N_im)
         if t > 0:
             logw = logw + noisy.z @ x_all.T - t * np.sum(x_all**2, axis=1) / 2.0
         logw -= logw.max(axis=1, keepdims=True)
@@ -330,14 +321,12 @@ def vlm_divergence(model: JghmModel, encoder, table: JointTable = None,
     if table is None:
         table = enumerate_joint(model, budget)
     S = model.n_states
-    ids, n_fibers = encoder_fibers(encoder, table.tuples_im, table.p_im)
-    fiber_joint = np.zeros((n_fibers, table.joint.shape[1]))
-    np.add.at(fiber_joint, ids, table.joint)
-    suff = exact_suff_encoder(model, encoder, "im", table)
+    ids, joint, fiber_joint = _fiber_joint(table, "im", encoder)
+    suff = _expected_kl(joint, fiber_joint[ids])
 
     total = 0.0
     for p, (codes, tokens) in enumerate(_prefix_codes(table.tuples_tx, S)):
-        true = _token_mass(table.joint, codes, tokens, S**p, S)
+        true = _token_mass(joint, codes, tokens, S**p, S)
         restricted = _token_mass(fiber_joint, codes, tokens, S**p, S)[ids]
         total += _expected_kl(true.reshape(-1, S), restricted.reshape(-1, S))
     n_pairs = int(np.count_nonzero(table.joint))

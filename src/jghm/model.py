@@ -30,6 +30,7 @@ __all__ = [
     "make_pflip_model",
     "model_to_json",
     "model_from_json",
+    "topology_from_json",
     "effective_b_psi",
 ]
 
@@ -251,9 +252,6 @@ class JghmModel:
     def n_states(self) -> int:
         return self.topology.n_states
 
-    def b_psi(self) -> float:
-        return effective_b_psi(self)
-
 
 def effective_b_psi(model: JghmModel) -> float:
     """Smallest B with 1/B <= entry <= B over the prior and all kernels.
@@ -428,14 +426,23 @@ def _field(doc: dict, name: str, read):
         raise ModelError(f"model has no {name!r} field")
     try:
         return read(doc[name])
-    except KeyError as e:
-        raise ModelError(f"model field {name!r} has no {e} entry") from e
     except (TypeError, ValueError) as e:  # ModelError included
         raise ModelError(f"model field {name!r}: {e}") from e
 
 
 def _kernels_from_json(levels) -> tuple:
     return tuple(tuple(np.array(k, dtype=float) for k in level) for level in levels)
+
+
+def topology_from_json(t) -> TreeTopology:
+    """Read the topology object of a config or a model file. A non-object or
+    a missing key raises ModelError; TreeTopology checks every value."""
+    if not isinstance(t, dict):
+        raise ModelError(f"topology must be an object, got {t!r}")
+    missing = [key for key in ("depth", "m_im", "m_tx", "n_states") if key not in t]
+    if missing:
+        raise ModelError(f"topology is missing {', '.join(map(repr, missing))}")
+    return TreeTopology(depth=t["depth"], m_im=t["m_im"], m_tx=t["m_tx"], n_states=t["n_states"])
 
 
 def model_from_json(text: str) -> JghmModel:
@@ -450,8 +457,7 @@ def model_from_json(text: str) -> JghmModel:
     if doc.get("schema_version") != 1:
         raise ModelError(f"unsupported model schema_version {doc.get('schema_version')!r}")
     return JghmModel(
-        topology=_field(doc, "topology", lambda t: TreeTopology(
-            depth=t["depth"], m_im=t["m_im"], m_tx=t["m_tx"], n_states=t["n_states"])),
+        topology=_field(doc, "topology", topology_from_json),
         root_prior=_field(doc, "root_prior", lambda p: np.array(p, dtype=float)),
         kernels_im=_field(doc, "kernels_im", _kernels_from_json),
         kernels_tx=_field(doc, "kernels_tx", _kernels_from_json),

@@ -45,11 +45,9 @@ def config_count(topology) -> int:
 
 
 def _assert_budget(topology, budget):
-    count = config_count(topology)
-    if count > budget:
-        raise BudgetExceeded(
-            f"{count} node configurations exceed the enumeration budget {budget}"
-        )
+    if config_count(topology) > budget:
+        raise BudgetExceeded(f"{topology.n_states}^{topology.total_nodes()} node configurations "
+                             f"exceed the enumeration budget {budget}")
 
 
 def all_leaf_tuples(d: int, n_states: int) -> np.ndarray:
@@ -108,37 +106,6 @@ class JointTable:
 
     def index(self, modality: str, leaves) -> np.ndarray:
         return encode_leaves(leaves, self.n_states)
-
-    def to_json(self) -> str:
-        """Dump the table for golden tests; round-trips bit-exactly."""
-        import json
-
-        doc = {
-            "schema_version": 1,
-            "n_states": self.n_states,
-            "prior": self.prior.tolist(),
-            "cond_im": self.cond_im.tolist(),
-            "cond_tx": self.cond_tx.tolist(),
-            "joint": self.joint.tolist(),
-            "d_im": self.tuples_im.shape[1],
-            "d_tx": self.tuples_tx.shape[1],
-        }
-        return json.dumps(doc, sort_keys=True, separators=(",", ":"))
-
-    @classmethod
-    def from_json(cls, text: str) -> "JointTable":
-        import json
-
-        doc = json.loads(text)
-        return cls(
-            n_states=doc["n_states"],
-            prior=np.array(doc["prior"]),
-            cond_im=np.array(doc["cond_im"]),
-            cond_tx=np.array(doc["cond_tx"]),
-            joint=np.array(doc["joint"]),
-            tuples_im=all_leaf_tuples(doc["d_im"], doc["n_states"]),
-            tuples_tx=all_leaf_tuples(doc["d_tx"], doc["n_states"]),
-        )
 
 
 def enumerate_joint(model: JghmModel, budget: int = DEFAULT_BUDGET) -> JointTable:

@@ -19,16 +19,14 @@ from jghm import (
     misspec_bp_eval,
     next_token_posterior_bp,
     next_token_posteriors_parallel,
-    optimal_score,
     posterior_floor,
     root_posterior,
     sample_joint,
     stream,
     vlm_divergence,
-    zsc_kl,
     zsc_kl_sweep,
 )
-from jghm.diffusion import SdeConfig, sample_image_sde, sampled_law_distance
+from jghm.diffusion import SdeConfig, law_distance, sample_image_sde, sampled_law
 from jghm.encoders import (
     canonical_encoder,
     coarsened_root_encoder,
@@ -38,7 +36,7 @@ from jghm.encoders import (
     prefix_text_encoder,
 )
 from jghm.metrics import cdm_estimation_error
-from jghm.model import ModelGenSpec, make_pflip_model
+from jghm.model import ModelGenSpec, effective_b_psi, make_pflip_model
 from jghm.oracle import (
     enumerate_joint,
     exact_conditional_root,
@@ -111,7 +109,7 @@ def test_criterion_01_bp_matches_enumeration(battery):
                 worst = max(worst, err)
             i, j = table.index("im", s.x_im), table.index("tx", s.x_tx)
             want = np.log(table.joint[i, j] / (table.p_im[i] * table.p_tx[j]))
-            worst = max(worst, abs(optimal_score(model, s.x_im, s.x_tx) - want))
+            worst = max(worst, abs(exact_score(model)(s.x_im, s.x_tx) - want))
             for k in range(5):
                 t = float(rng.uniform(0.05, 6.0))
                 z = t * s.x_im + np.sqrt(t) * rng.standard_normal(4)
@@ -216,7 +214,7 @@ def test_criterion_06_zsc():
     )
     lossy = coarsened_score(model)
     suff = exact_suff_score(model, lossy, table)
-    lossy_kl = zsc_kl(model, lossy, 4096, 600, seed=1207)
+    lossy_kl = zsc_kl_sweep(model, lossy, [4096], 600, seed=1207)[0]
     lossy_ok = lossy_kl.estimate <= suff + 0.02
     report(
         6,
@@ -266,7 +264,7 @@ def test_criterion_09_diffusion_sampling():
     model = diffusion_model()
     x_tx = sample_joint(model, stream(9, "acc9-text")).x_tx
     cfg = SdeConfig(horizon=20.0, dt=0.01, n_paths=20_000, seed=1210)
-    tv = sampled_law_distance(model, x_tx, cfg)
+    tv = law_distance(*sampled_law(model, x_tx, cfg), cfg)
     tv_ok = tv.estimate <= 0.05
     zero = sample_image_sde(
         model, x_tx, SdeConfig(horizon=20.0, dt=0.01, n_paths=5_000, seed=1211),
@@ -292,12 +290,12 @@ def test_criterion_10_bound_lemmas():
     for seed, p in ((41, 0.3), (42, 0.6), (43, 1.0)):
         model = make_pflip_model(ModelGenSpec(topology=topo, p_flip=p, seed=seed))
         table = enumerate_joint(model)
-        b_psi = model.b_psi()
+        b_psi = effective_b_psi(model)
         score_bound = 2 * topo.m_first * np.log(b_psi)
         n_im, n_tx = len(table.tuples_im), len(table.tuples_tx)
         im = np.repeat(table.tuples_im, n_tx, axis=0)
         tx = np.tile(table.tuples_tx, (n_im, 1))
-        scores = optimal_score(model, im, tx)
+        scores = exact_score(model)(im, tx)
         score_ok = np.all(np.abs(scores) <= score_bound + 1e-12)
         floor = posterior_floor(model)
         floor_ok = all(

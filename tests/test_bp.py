@@ -8,10 +8,10 @@ from jghm import (
     bayes_denoiser,
     conditioned_denoiser,
     downsweep,
+    exact_score,
     next_token_posterior_bp,
     next_token_posteriors_parallel,
     normalize,
-    optimal_score,
     posterior_floor,
     readout_bound,
     root_posterior,
@@ -23,7 +23,7 @@ from jghm import (
 )
 from jghm import bp
 from jghm.bp import _leaf_posteriors, evidence_from_states, leaf_evidence_from_noise, root_log_posterior
-from jghm.model import ModelGenSpec, TreeTopology, make_pflip_model
+from jghm.model import ModelGenSpec, TreeTopology, effective_b_psi, make_pflip_model
 from jghm.oracle import (
     all_leaf_tuples,
     config_count,
@@ -185,7 +185,7 @@ class TestOptimalScore:
         # S = 2, deterministic trees, uniform prior: matched roots give log 2
         m = diffusion_model(p_flip=0.0)
         s = sample_joint(m, stream(5, "sc"))
-        assert optimal_score(m, s.x_im, s.x_tx) == pytest.approx(np.log(2))
+        assert exact_score(m)(s.x_im, s.x_tx) == pytest.approx(np.log(2))
 
     def test_permutation_mismatched_pair(self):
         m = diffusion_model(p_flip=0.0)
@@ -195,8 +195,8 @@ class TestOptimalScore:
             b = sample_joint(m, rng)
             if b.root != a.root:
                 break
-        assert optimal_score(m, a.x_im, b.x_tx) == -np.inf
-        assert optimal_score(m, a.x_im, b.x_tx, clamp=5.0) == -5.0
+        assert exact_score(m)(a.x_im, b.x_tx) == -np.inf
+        assert exact_score(m, clamp=5.0)(a.x_im, b.x_tx) == -5.0
 
     def test_score_identity_exhaustive(self, micro):
         table = enumerate_joint(micro)
@@ -205,16 +205,16 @@ class TestOptimalScore:
             for j in range(len(tuples_tx)):
                 if table.joint[i, j] <= 0:
                     continue
-                sc = optimal_score(micro, tuples_im[i], tuples_tx[j])
+                sc = exact_score(micro)(tuples_im[i], tuples_tx[j])
                 lhs = np.exp(sc) * table.p_im[i] * table.p_tx[j]
                 assert lhs == pytest.approx(table.joint[i, j], rel=1e-9)
 
     def test_score_bound_exhaustive(self, ref_model, ref_table):
-        bound = 2 * ref_model.topology.m_first * np.log(ref_model.b_psi())
+        bound = 2 * ref_model.topology.m_first * np.log(effective_b_psi(ref_model))
         n_im, n_tx = len(ref_table.tuples_im), len(ref_table.tuples_tx)
         im = np.repeat(ref_table.tuples_im, n_tx, axis=0)
         tx = np.tile(ref_table.tuples_tx, (n_im, 1))
-        scores = optimal_score(ref_model, im, tx)
+        scores = exact_score(ref_model)(im, tx)
         assert np.all(np.abs(scores) <= bound)
         assert readout_bound(ref_model) == pytest.approx(2 * bound)
 
@@ -582,7 +582,7 @@ class TestBpOracleSweep:
             )
             i, j = table.index("im", s.x_im), table.index("tx", s.x_tx)
             want = np.log(table.joint[i, j] / (table.p_im[i] * table.p_tx[j]))
-            assert optimal_score(m, s.x_im, s.x_tx) == pytest.approx(want, abs=1e-9)
+            assert exact_score(m)(s.x_im, s.x_tx) == pytest.approx(want, abs=1e-9)
             t = float(rng.uniform(0.2, 3.0))
             z = t * s.x_im + np.sqrt(t) * rng.standard_normal(4)
             assert np.allclose(

@@ -1,12 +1,17 @@
 import csv
 import hashlib
+import importlib
+import importlib.util
 import json
+import pkgutil
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import jghm
 from jghm import ModelGenSpec, TreeTopology, make_pflip_model, misspec_bp_eval
 from jghm.model import model_to_json
 from jghm.cli import main
@@ -176,13 +181,25 @@ class TestExportDataset:
         assert r.returncode == 1
         assert "row sums" in r.stderr
 
-    @pytest.mark.parametrize("field, value", [("n_states", "3"), ("m_im", [2.7, 2])])
-    def test_bad_model_file_topology_exits_2(self, workdir, field, value):
+    # every bad topology of the config list below, read from a model file
+    @pytest.mark.parametrize("topology, field", [
+        ({**TOPO, "n_states": "3"}, "n_states"),
+        ({**TOPO, "m_im": [2.7, 2]}, "m_im"),
+        ({**TOPO, "n_states": 1}, "n_states"),
+        ({**TOPO, "depth": 0}, "depth"),
+        ({**TOPO, "depth": 3}, "m_im"),
+        ({**TOPO, "m_im": [2, "2"]}, "m_im"),
+        ({**TOPO, "m_tx": 2}, "m_tx"),
+        ([1, 2], "topology"),
+        ({k: v for k, v in TOPO.items() if k != "m_tx"}, "m_tx"),
+    ], ids=["n_states-3", "m_im-value1", "n_states-1", "depth-0", "depth-3", "m_im-string",
+            "m_tx-int", "list", "no-m_tx"])
+    def test_bad_model_file_topology_exits_2(self, workdir, topology, field):
         gen = workdir / "gen.json"
         gen.write_text(json.dumps({"topology": TOPO, "p_flip": 0.3, "model_seed": 3}))
         assert run_cli("gen-model", "--config", str(gen), "--out", str(workdir)).returncode == 0
         doc = json.loads((workdir / "model.json").read_text())
-        doc["topology"][field] = value
+        doc["topology"] = topology
         (workdir / "model.json").write_text(json.dumps(doc))
         cfg = workdir / "exp7.json"
         cfg.write_text(json.dumps({"model_path": str(workdir / "model.json"), "n": 2, "seed": 1}))
@@ -304,6 +321,9 @@ class TestOtherCommands:
     ("gen-model", {"topology": {**TOPO, "m_tx": 2}, "p_flip": 0.3}),
     ("gen-model", {"topology": [1, 2], "p_flip": 0.3}),
     ("gen-model", [1, 2]),
+    ("gen-model", {"topology": {k: v for k, v in TOPO.items() if k != "m_tx"}, "p_flip": 0.3}),
+    ("sweep", {"task": "clip", "topology": TOPO, "p_flip_list": [0.2], "n": 10, "ood": "yes"}),
+    ("sweep", {"task": "clip", "topology": TOPO, "p_flip_list": [0.2], "n": 10, "ood": 1}),
 ])
 def test_bad_config_exits_2_without_traceback(workdir, command, cfg):
     path = workdir / "bad.json"
@@ -376,3 +396,31 @@ def test_selftest_passes():
     assert r.returncode == 0
     assert "selftest: all checks passed" in r.stdout
     assert "SKIP oracle-equivalence" in r.stdout
+
+
+@pytest.mark.parametrize("command", ["vlm", "cdm-sample"])
+def test_enumeration_budget_exits_2_with_short_message(workdir, command):
+    path = workdir / "large.json"
+    path.write_text(json.dumps({"topology": LARGE_SWEEP["topology"], "p_flip": 0.3,
+                                "model_seed": 11}))
+    r = run_cli(command, "--config", str(path), "--out", str(workdir))
+    assert r.returncode == 2
+    assert "Traceback" not in r.stderr and len(r.stderr.encode()) < 200
+    assert r.stderr == "error: 10^241 node configurations exceed the enumeration budget 2000000\n"
+
+
+def test_traced_and_public_names_resolve():
+    """Every name the benchmark's tracer patches, and every name in a jghm
+    module's __all__, exists; a deletion cannot silently break either."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "layertrace.py"
+    spec = importlib.util.spec_from_file_location("layertrace_names", path)
+    layertrace = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layertrace)
+    for module, attr, *_ in layertrace.TARGETS:
+        assert hasattr(importlib.import_module(module), attr), f"{module}.{attr}"
+    for module, cls, attr, _ in layertrace.METHOD_TARGETS:
+        assert hasattr(getattr(importlib.import_module(module), cls), attr), f"{module}.{cls}.{attr}"
+    for info in pkgutil.iter_modules(jghm.__path__):
+        module = importlib.import_module(f"jghm.{info.name}")
+        missing = [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
+        assert not missing, f"jghm.{info.name}.__all__ names missing attributes {missing}"

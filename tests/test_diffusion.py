@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from jghm import sample_joint, stream
-from jghm.diffusion import SdeConfig, round_to_states, sample_image_sde, sampled_law_distance
+from jghm.diffusion import SdeConfig, law_distance, round_to_states, sample_image_sde, sampled_law
 from jghm.model import ModelError
 from jghm.oracle import encode_leaves, enumerate_joint
 from jghm.presets import diffusion_model
@@ -81,37 +81,34 @@ class TestSde:
         assert err_rate <= 1e-3
 
 
+def _tv(model, text, cfg, drift_model=None):
+    """TV between the rounded SDE law and the exact conditional, with its bootstrap se."""
+    return law_distance(*sampled_law(model, text, cfg, drift_model), cfg, drift_model)
+
+
 class TestLawDistance:
     def test_exact_drift_small_tv(self, diff_model, text):
         cfg = SdeConfig(horizon=20.0, dt=0.01, n_paths=4_000, seed=7)
-        rep = sampled_law_distance(diff_model, text, cfg)
+        rep = _tv(diff_model, text, cfg)
         assert rep.estimate <= 0.05
         assert rep.se > 0
 
     def test_longer_horizon_not_worse(self, diff_model, text):
-        short = sampled_law_distance(
-            diff_model, text, SdeConfig(horizon=16.0, dt=0.02, n_paths=3_000, seed=8)
-        )
-        long = sampled_law_distance(
-            diff_model, text, SdeConfig(horizon=32.0, dt=0.02, n_paths=3_000, seed=9)
-        )
+        short = _tv(diff_model, text, SdeConfig(horizon=16.0, dt=0.02, n_paths=3_000, seed=8))
+        long = _tv(diff_model, text, SdeConfig(horizon=32.0, dt=0.02, n_paths=3_000, seed=9))
         assert long.estimate <= short.estimate + 4 * (short.se + long.se)
 
     def test_halved_step_consistent(self, diff_model, text):
-        coarse = sampled_law_distance(
-            diff_model, text, SdeConfig(horizon=16.0, dt=0.02, n_paths=3_000, seed=10)
-        )
-        fine = sampled_law_distance(
-            diff_model, text, SdeConfig(horizon=16.0, dt=0.01, n_paths=3_000, seed=11)
-        )
+        coarse = _tv(diff_model, text, SdeConfig(horizon=16.0, dt=0.02, n_paths=3_000, seed=10))
+        fine = _tv(diff_model, text, SdeConfig(horizon=16.0, dt=0.01, n_paths=3_000, seed=11))
         assert abs(fine.estimate - coarse.estimate) <= 4 * (coarse.se + fine.se)
 
     def test_misspecified_drift_larger_tv(self, text):
         test_model = diffusion_model(p_flip=0.35)
         train_model = diffusion_model(p_flip=0.9)
         cfg = SdeConfig(horizon=20.0, dt=0.02, n_paths=4_000, seed=12)
-        exact = sampled_law_distance(test_model, text, cfg)
-        wrong = sampled_law_distance(test_model, text, cfg, drift_model=train_model)
+        exact = _tv(test_model, text, cfg)
+        wrong = _tv(test_model, text, cfg, drift_model=train_model)
         assert wrong.estimate > exact.estimate + 4 * (exact.se + wrong.se)
         assert wrong.metadata["drift"] == "misspecified"
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from jghm import clip_risk, optimal_score, sample_joint, sample_joint_batch, stream
+from jghm import clip_risk, root_posterior, sample_joint, sample_joint_batch, stream
 from jghm.encoders import (
     Encoder,
     canonical_encoder,
@@ -31,7 +31,7 @@ class TestCanonicalEncoder:
         e_im = canonical_encoder(ref_model, "im")(draws.x_im)
         e_tx = canonical_encoder(ref_model, "tx")(draws.x_tx)
         inner = np.sum(e_im * e_tx * ref_model.root_prior, axis=-1)
-        scores = optimal_score(ref_model, draws.x_im, draws.x_tx)
+        scores = exact_score(ref_model)(draws.x_im, draws.x_tx)
         assert np.allclose(inner, np.exp(scores), atol=1e-9)
 
 
@@ -70,9 +70,12 @@ class TestScores:
     def test_exact_score_matches_bp(self, ref_model):
         draws = sample_joint_batch(ref_model, 6, stream(3, "sc"))
         sc = exact_score(ref_model)
+        # log sum_s P[s | x_im] P[s | x_tx] / P[s], the PMI from the two root posteriors
+        p_im = root_posterior(ref_model, "im", draws.x_im)
+        p_tx = root_posterior(ref_model, "tx", draws.x_tx)
         assert np.allclose(
             sc(draws.x_im, draws.x_tx),
-            optimal_score(ref_model, draws.x_im, draws.x_tx),
+            np.log(np.sum(p_im * p_tx / ref_model.root_prior, axis=-1)),
             atol=1e-12,
         )
 

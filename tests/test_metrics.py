@@ -8,7 +8,6 @@ from jghm import (
     misspec_bp_eval,
     stream,
     vlm_divergence,
-    zsc_kl,
     zsc_kl_sweep,
     zsc_predict,
 )
@@ -139,13 +138,13 @@ class TestZsc:
             assert b.estimate <= a.estimate + 4 * (a.se + b.se)
 
     def test_exact_score_small_kl(self, zsc_model):
-        r = zsc_kl(zsc_model, exact_score(zsc_model), 256, 1500, seed=13)
+        r = zsc_kl_sweep(zsc_model, exact_score(zsc_model), [256], 1500, seed=13)[0]
         assert r.estimate <= 0.05
 
     def test_lossy_score_bounded_by_sufficiency(self, zsc_model, zsc_table):
         score = coarsened_score(zsc_model)
         suff = exact_suff_score(zsc_model, score, zsc_table)
-        r = zsc_kl(zsc_model, score, 4096, 600, seed=14)
+        r = zsc_kl_sweep(zsc_model, score, [4096], 600, seed=14)[0]
         assert r.estimate <= suff + 0.02
 
     def test_kl_grows_with_mixing(self):
@@ -154,7 +153,7 @@ class TestZsc:
         results = []
         for p in (0.02, 0.4):
             m = make_pflip_model(ModelGenSpec(topology=topo, p_flip=p, seed=8))
-            results.append(zsc_kl(m, exact_score(m), 16, 1_500, seed=15))
+            results.append(zsc_kl_sweep(m, exact_score(m), [16], 1_500, seed=15)[0])
         low, high = results
         assert low.estimate < high.estimate - 4 * (low.se + high.se)
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from jghm import optimal_score, sample_joint_batch, stream
+from jghm import sample_joint_batch, stream
 from jghm.encoders import (
     canonical_encoder,
     coarsened_root_encoder,
@@ -97,7 +97,7 @@ class TestMutualInformation:
         mi = exact_mutual_information(ref_table)
         n = 40_000
         draws = sample_joint_batch(ref_model, n, stream(3, "miavg"))
-        scores = optimal_score(ref_model, draws.x_im, draws.x_tx)
+        scores = exact_score(ref_model)(draws.x_im, draws.x_tx)
         se = scores.std(ddof=1) / np.sqrt(n)
         assert abs(scores.mean() - mi) <= 4 * se
 
@@ -221,13 +221,3 @@ class TestInfoHelpers:
         joint = np.array([[0.25, 0.25], [0.25, 0.25]])
         assert mi_from_joint(joint) == 0.0
 
-
-class TestGoldenTable:
-    def test_json_round_trip(self, ref_table):
-        from jghm.oracle import JointTable
-
-        back = JointTable.from_json(ref_table.to_json())
-        assert np.array_equal(back.joint, ref_table.joint)
-        assert np.array_equal(back.cond_im, ref_table.cond_im)
-        assert np.array_equal(back.tuples_tx, ref_table.tuples_tx)
-        assert back.to_json() == ref_table.to_json()
