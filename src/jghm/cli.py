@@ -14,10 +14,10 @@ import argparse
 import csv
 import hashlib
 import json
-import math
 import sys
 import warnings
 from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -48,7 +48,6 @@ from .model import (
     JghmModel,
     ModelError,
     ModelGenSpec,
-    TreeTopology,
     make_pflip_model,
     model_from_json,
     model_to_json,
@@ -73,141 +72,165 @@ class ConfigError(ValueError):
     pass
 
 
-def _load_config(path):
-    if path is None:
-        raise ConfigError("--config is required for this command")
-    try:
-        cfg = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as e:
-        raise ConfigError(f"cannot read config {path}: {e}") from e
-    if not isinstance(cfg, dict):
-        raise ConfigError(f"config {path} must be a JSON object, got {type(cfg).__name__}")
-    return cfg
+REQUIRED = object()  # the default of a key that a command cannot run without
 
 
-def _config_hash(cfg) -> str:
-    data = json.dumps(cfg, sort_keys=True, separators=(",", ":")).encode()
-    return hashlib.sha256(data).hexdigest()[:16]
-
-
-def _count(name, value, minimum=1) -> int:
-    """A config count of at least `minimum`; bools and floats are rejected."""
+def _count(value, minimum=1) -> int:
+    """A count of at least `minimum`; bools and floats are rejected."""
     if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
-        raise ConfigError(f"{name} must be an integer >= {minimum}, got {value!r}")
+        raise ConfigError(f"must be an integer >= {minimum}, got {value!r}")
     return value
 
 
-def _seed(name, value) -> int:
-    """A config seed: an integer that fits the signed 128 bits of a stream
-    key; bools and floats are rejected."""
+def _seed(value) -> int:
+    """A seed: an integer that fits the signed 128 bits of a stream key;
+    bools and floats are rejected."""
     if isinstance(value, bool) or not isinstance(value, int) or not -2**127 <= value < 2**127:
-        raise ConfigError(f"{name} must be an integer in [-2**127, 2**127), got {value!r}")
+        raise ConfigError(f"must be an integer in [-2**127, 2**127), got {value!r}")
     return value
 
 
-def _master_seed(args, cfg) -> int:
-    """The --seed flag, else the config seed (default 0)."""
+def _real(value):
+    """A finite real number; bools, nan and integers beyond floats are rejected."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) \
+            or not abs(value) <= sys.float_info.max:
+        raise ConfigError(f"must be a finite real number, got {value!r}")
+    return value
+
+
+def _probability(value):
+    """A real number in [0, 1]; bools are rejected."""
+    if not 0 <= _real(value) <= 1:
+        raise ConfigError(f"must be a real number in [0, 1], got {value!r}")
+    return value
+
+
+def _list_of(read, value) -> list:
+    """A non-empty list, each entry read by `read`."""
+    if not isinstance(value, list) or not value:
+        raise ConfigError(f"must be a non-empty list, got {value!r}")
+    return [read(v) for v in value]
+
+
+def _one_of(names, value) -> str:
+    """One of `names`."""
+    if not isinstance(value, str) or value not in names:
+        raise ConfigError(f"must be one of {', '.join(names)}, got {value!r}")
+    return value
+
+
+def _model_file(path) -> JghmModel:
+    """A model file as gen-model writes it; `_resolve_model` validates it."""
+    if not isinstance(path, str):
+        raise ConfigError(f"must be a file path, got {path!r}")
+    try:
+        text = Path(path).read_text()
+    except (OSError, ValueError) as e:  # ValueError: a NUL in the path, or not UTF-8
+        raise ConfigError(f"cannot read {path}: {e}") from e
+    return model_from_json(text)
+
+
+SCORES = {"exact": exact_score, "coarsened": coarsened_score,
+          "constant": lambda model: constant_score()}
+ENCODERS = {"canonical": canonical_encoder, "coarsened": coarsened_root_encoder,
+            "constant": constant_encoder}
+
+# One table per command: key -> (reader, default). A missing key takes its
+# default, None meaning absent; a REQUIRED key cannot be missing.
+_GENERATED = {
+    "topology": (topology_from_json, REQUIRED),
+    "model_seed": (_seed, None),  # absent: the config seed
+    "seed": (_seed, 0),
+    "gaussian_scale": (_real, 1.0),
+    "p_flip_im": (_probability, None),
+    "p_flip_tx": (_probability, None),
+}
+# A model file, or a generated model: when both are given, the file wins.
+_MODEL = {**_GENERATED, "topology": (topology_from_json, None), "p_flip": (_probability, None),
+          "model_path": (_model_file, None)}
+CONFIGS = {
+    "gen-model": {**_GENERATED, "p_flip": (_probability, REQUIRED)},
+    "sweep": {**_GENERATED, "task": (partial(_one_of, MISSPEC_TASKS), REQUIRED),
+              "p_flip_list": (partial(_list_of, _probability), REQUIRED),
+              "train_p_flip": (_probability, None), "n": (_count, 2000),
+              "K": (partial(_count, minimum=2), 8), "t": (check_time, 1.0)},
+    "zsc": {**_MODEL, "n": (_count, 2000), "M_list": (partial(_list_of, _count), [64]),
+            "score": (partial(_one_of, SCORES), "exact")},
+    "cdm-sample": {**_MODEL, "n_paths": (_count, 2000), "T": (_real, 20.0), "dt": (_real, 0.01),
+                   "text": (partial(_list_of, _count), None), "train_p_flip": (_probability, None)},
+    "vlm": {**_MODEL, "encoder": (partial(_one_of, ENCODERS), "canonical")},
+    "export-dataset": {**_MODEL, "n": (_count, 10), "noise_t": (check_time, None)},
+}
+
+
+def _read(key, read, value):
+    """read(value): a reader checks one value and returns it; the ConfigError
+    or ModelError it raises becomes a ConfigError that names the key."""
+    try:
+        return read(value)
+    except (ConfigError, ModelError) as e:
+        raise ConfigError(f"{key}: {e}") from e
+
+
+def _config(args) -> dict:
+    """The settings of `args.command`, read through its table before any
+    model is built. A key outside the table, a null value and a missing
+    REQUIRED key exit 2 naming the key. `seed` is --seed when given;
+    `model_seed` falls back to the config seed, never to --seed."""
+    try:
+        cfg = json.loads(Path(args.config).read_text())
+    except (OSError, ValueError) as e:  # ValueError: not JSON, or not UTF-8
+        raise ConfigError(f"cannot read config {args.config}: {e}") from e
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"config {args.config} must be a JSON object, got {type(cfg).__name__}")
+    table = CONFIGS[args.command]
+    unknown = [key for key in cfg if key not in table]
+    if unknown:
+        raise ConfigError(f"{unknown[0]}: not a {args.command} key; "
+                          f"expected one of {', '.join(table)}")
+    data = json.dumps(cfg, sort_keys=True, separators=(",", ":")).encode()
+    c = {"config_hash": hashlib.sha256(data).hexdigest()[:16]}
+    for key, (read, default) in table.items():
+        value = cfg[key] if key in cfg else default
+        if value is None and key in cfg:
+            raise ConfigError(f"{key}: null is not a value; leave the key out instead")
+        if value is REQUIRED:
+            raise ConfigError(f"{key}: missing; {args.command} needs it")
+        c[key] = None if value is None else _read(key, read, value)
+    if c["model_seed"] is None:
+        c["model_seed"] = c["seed"]
     if args.seed is not None:
-        return _seed("--seed", args.seed)
-    return _seed("seed", cfg.get("seed", 0))
+        c["seed"] = _read("--seed", _seed, args.seed)
+    return c
 
 
-def _real(name, value):
-    """A finite real config number; bools are rejected."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
-        raise ConfigError(f"{name} must be a finite real number, got {value!r}")
-    return value
+def _gen_spec(c, p_flip) -> ModelGenSpec:
+    if c["topology"] is None:
+        raise ConfigError("topology: missing; a generated model needs it")
+    return ModelGenSpec(topology=c["topology"], p_flip=p_flip, seed=c["model_seed"],
+                        gaussian_scale=c["gaussian_scale"], p_flip_im=c["p_flip_im"],
+                        p_flip_tx=c["p_flip_tx"])
 
 
-def _probability(name, value):
-    """A config probability: a real number in [0, 1]; bools are rejected."""
-    if not 0 <= _real(name, value) <= 1:
-        raise ConfigError(f"{name} must be a real number in [0, 1], got {value!r}")
-    return value
+def _resolve_model(c) -> JghmModel:
+    """The model_path model, validated, or else the model generated at p_flip."""
+    model = c["model_path"]
+    if model is None:
+        if c["p_flip"] is None:
+            raise ConfigError("p_flip: missing; give it (with topology) or model_path")
+        return make_pflip_model(_gen_spec(c, c["p_flip"]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        validate_model(model)  # corrupted files fail with the named invariant
+    return model
 
 
-def _time(name, value):
-    """A config diffusion time, held to the sampler's rule for t."""
-    try:
-        check_time(value)
-    except ModelError as e:
-        raise ConfigError(f"{name}: {e}") from e
-    return value
-
-
-def _text(value, model) -> np.ndarray:
-    """A config text: a list of d_tx integer states in [1, S]; bools are rejected."""
-    d_tx, S = model.topology.d_tx, model.n_states
-    if not isinstance(value, list) or len(value) != d_tx or any(
-            isinstance(v, bool) or not isinstance(v, int) or not 1 <= v <= S for v in value):
-        raise ConfigError(f"text must be a list of {d_tx} integers in [1, {S}], got {value!r}")
-    return np.asarray(value, dtype=np.int64)
-
-
-def _topology(cfg) -> TreeTopology:
-    """The config topology, read as a model file's is."""
-    try:
-        return topology_from_json(cfg.get("topology"))
-    except ModelError as e:
-        raise ConfigError(str(e)) from e
-
-
-def _gen_spec(cfg, p_flip=None) -> ModelGenSpec:
-    if p_flip is None and "p_flip" not in cfg:
-        raise ConfigError("config needs p_flip (or a sweep list)")
-    seed_key = "model_seed" if "model_seed" in cfg else "seed"
-    overrides = {key: _probability(key, cfg[key]) for key in ("p_flip_im", "p_flip_tx")
-                 if cfg.get(key) is not None}
-    return ModelGenSpec(
-        topology=_topology(cfg),
-        p_flip=_probability("p_flip", cfg["p_flip"]) if p_flip is None else p_flip,
-        seed=_seed(seed_key, cfg.get(seed_key, 0)),
-        gaussian_scale=_real("gaussian_scale", cfg.get("gaussian_scale", 1.0)),
-        **overrides,
-    )
-
-
-def _resolve_model(cfg, p_flip=None) -> JghmModel:
-    if "model_path" in cfg:
-        try:
-            model = model_from_json(Path(cfg["model_path"]).read_text())
-        except OSError as e:
-            raise ConfigError(f"cannot read model_path {cfg['model_path']}: {e}") from e
-        except ModelError as e:  # a bad topology, kernel shape or schema version
-            raise ConfigError(f"model_path {cfg['model_path']}: {e}") from e
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            validate_model(model)  # corrupted files fail with the named invariant
-        return model
-    if "topology" not in cfg:
-        raise ConfigError("config needs either model_path or topology/p_flip")
-    return make_pflip_model(_gen_spec(cfg, p_flip))
-
-
-def _resolve_score(name, model):
-    scores = {"exact": exact_score, "coarsened": coarsened_score, "constant": lambda m: constant_score()}
-    if name not in scores:
-        raise ConfigError(f"unknown score {name!r}; expected exact, coarsened or constant")
-    return scores[name](model)
-
-
-def _resolve_encoder(name, model, modality):
-    encoders = {
-        "canonical": canonical_encoder,
-        "coarsened": coarsened_root_encoder,
-        "constant": constant_encoder,
-    }
-    if name not in encoders:
-        raise ConfigError(f"unknown encoder {name!r}; expected canonical, coarsened or constant")
-    return encoders[name](model, modality)
-
-
-def _write_reports(path: Path, reports, seed, cfg):
+def _write_reports(path: Path, reports, c):
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as f:
         f.write(f"# build={BUILD_ID}\n")
-        f.write(f"# seed={seed}\n")
-        f.write(f"# config_hash={_config_hash(cfg)}\n")
+        f.write(f"# seed={c['seed']}\n")
+        f.write(f"# config_hash={c['config_hash']}\n")
         writer = csv.writer(f)
         writer.writerow(CSV_COLUMNS)
         for r in reports:
@@ -221,8 +244,8 @@ def _write_reports(path: Path, reports, seed, cfg):
 
 
 def cmd_gen_model(args) -> int:
-    cfg = _load_config(args.config)
-    model = make_pflip_model(_gen_spec(cfg))
+    c = _config(args)
+    model = make_pflip_model(_gen_spec(c, c["p_flip"]))
     b_psi = validate_model(model)
     out = Path(args.out or ".") / "model.json"
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -232,89 +255,63 @@ def cmd_gen_model(args) -> int:
     return 0
 
 
-def _sweep_point(cfg, task, train_model, test_p, kwargs):
-    test_model = make_pflip_model(_gen_spec(cfg, p_flip=test_p))
-    if train_model is None:
-        return [misspec_bp_eval(test_model, test_model, task, **kwargs).bayes]
-    res = misspec_bp_eval(train_model, test_model, task, **kwargs)
-    return [res.bayes, res.risk, res.excess]
-
-
 def cmd_sweep(args) -> int:
-    cfg = _load_config(args.config)
-    task = cfg.get("task")
-    if task not in MISSPEC_TASKS:
-        raise ConfigError(f"unknown task {task!r}; expected {', '.join(MISSPEC_TASKS)}")
-    p_list = cfg.get("p_flip_list")
-    if not isinstance(p_list, list) or not p_list:
-        raise ConfigError(f"sweep config needs a non-empty p_flip_list, got {p_list!r}")
-    p_list = [_probability("p_flip_list entry", p) for p in p_list]
-    seed = _master_seed(args, cfg)
-    kwargs = {"n": _count("n", cfg.get("n", 2000)), "seed": seed,
-              "K": _count("K", cfg.get("K", 8), minimum=2), "t": _time("t", cfg.get("t", 1.0))}
-    threads = _count("--threads", args.threads)
-    ood = cfg.get("ood", False)
-    if not isinstance(ood, bool):
-        raise ConfigError(f"ood must be true or false, got {ood!r}")
-    train_p = cfg.get("train_p_flip", 0.2 if ood else None)
+    c = _config(args)
+    threads = _read("--threads", _count, args.threads)
+    kwargs = {"n": c["n"], "seed": c["seed"], "K": c["K"], "t": c["t"]}
     train_model = None
-    if train_p is not None:
-        train_model = make_pflip_model(_gen_spec(cfg, p_flip=_probability("train_p_flip", train_p)))
+    if c["train_p_flip"] is not None:
+        train_model = make_pflip_model(_gen_spec(c, c["train_p_flip"]))
 
     def run_point(p):
-        return _sweep_point(cfg, task, train_model, p, kwargs)
+        test_model = make_pflip_model(_gen_spec(c, p))
+        if train_model is None:
+            return [misspec_bp_eval(test_model, test_model, c["task"], **kwargs).bayes]
+        res = misspec_bp_eval(train_model, test_model, c["task"], **kwargs)
+        return [res.bayes, res.risk, res.excess]
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run_point, p_list))
+            results = list(pool.map(run_point, c["p_flip_list"]))
     else:
-        results = [run_point(p) for p in p_list]
+        results = [run_point(p) for p in c["p_flip_list"]]
     reports = [r for rows in results for r in rows]
-    _write_reports(Path(args.out or ".") / "sweep.csv", reports, seed, cfg)
+    _write_reports(Path(args.out or ".") / "sweep.csv", reports, c)
     return 0
 
 
 def cmd_zsc(args) -> int:
-    cfg = _load_config(args.config)
-    n = _count("n", cfg.get("n", 2000))
-    m_list = cfg.get("M_list", [cfg.get("M", 64)])
-    if not isinstance(m_list, list) or not m_list:
-        raise ConfigError(f"M_list must be a non-empty list, got {m_list!r}")
-    m_list = [_count("M", m) for m in m_list]
-    seed = _master_seed(args, cfg)
-    model = _resolve_model(cfg)
-    score = _resolve_score(cfg.get("score", "exact"), model)
-    reports = zsc_kl_sweep(model, score, m_list, n, seed)
-    _write_reports(Path(args.out or ".") / "zsc.csv", reports, seed, cfg)
+    c = _config(args)
+    model = _resolve_model(c)
+    reports = zsc_kl_sweep(model, SCORES[c["score"]](model), c["M_list"], c["n"], c["seed"])
+    _write_reports(Path(args.out or ".") / "zsc.csv", reports, c)
     return 0
 
 
 def cmd_cdm_sample(args) -> int:
-    cfg = _load_config(args.config)
-    n_paths = _count("n_paths", cfg.get("n_paths", 2000))
-    seed = _master_seed(args, cfg)
+    c = _config(args)
     try:
-        sde = SdeConfig(horizon=_real("T", cfg.get("T", 20.0)), dt=_real("dt", cfg.get("dt", 0.01)),
-                        n_paths=n_paths, seed=seed)
+        sde = SdeConfig(horizon=c["T"], dt=c["dt"], n_paths=c["n_paths"], seed=c["seed"])
     except ModelError as e:
         raise ConfigError(f"SDE grid: {e}") from e
-    model = _resolve_model(cfg)
-    if "text" in cfg:
-        x_tx = _text(cfg["text"], model)
+    model = _resolve_model(c)
+    d_tx, S = model.topology.d_tx, model.n_states
+    if c["text"] is None:
+        x_tx = sample_joint(model, stream(c["seed"], "cdm-sample-text")).x_tx
+    elif len(c["text"]) != d_tx or max(c["text"]) > S:  # the table read integers >= 1
+        raise ConfigError(f"text: must be a list of {d_tx} states in [1, {S}], got {c['text']}")
     else:
-        x_tx = sample_joint(model, stream(seed, "cdm-sample-text")).x_tx
+        x_tx = np.asarray(c["text"], dtype=np.int64)
     drift_model = None
-    if "train_p_flip" in cfg:
-        drift_model = make_pflip_model(
-            _gen_spec(cfg, p_flip=_probability("train_p_flip", cfg["train_p_flip"])))
+    if c["train_p_flip"] is not None:
+        drift_model = make_pflip_model(_gen_spec(c, c["train_p_flip"]))
     counts, cond = sampled_law(model, x_tx, sde, drift_model=drift_model)
     out_dir = Path(args.out or ".")
-    _write_reports(out_dir / "cdm_sample.csv", [law_distance(counts, cond, sde, drift_model)],
-                   seed, cfg)
+    _write_reports(out_dir / "cdm_sample.csv", [law_distance(counts, cond, sde, drift_model)], c)
     hist = {
         "build": BUILD_ID,
-        "seed": seed,
-        "config_hash": _config_hash(cfg),
+        "seed": c["seed"],
+        "config_hash": c["config_hash"],
         "text": x_tx.tolist(),
         "counts": counts.tolist(),
         "oracle_conditional": cond.tolist(),
@@ -325,12 +322,10 @@ def cmd_cdm_sample(args) -> int:
 
 
 def cmd_vlm(args) -> int:
-    cfg = _load_config(args.config)
-    seed = _master_seed(args, cfg)
-    model = _resolve_model(cfg)
-    encoder = _resolve_encoder(cfg.get("encoder", "canonical"), model, "im")
-    report = vlm_divergence(model, encoder)
-    _write_reports(Path(args.out or ".") / "vlm.csv", [report], seed, cfg)
+    c = _config(args)
+    model = _resolve_model(c)
+    report = vlm_divergence(model, ENCODERS[c["encoder"]](model, "im"))
+    _write_reports(Path(args.out or ".") / "vlm.csv", [report], c)
     return 0
 
 
@@ -343,16 +338,11 @@ def _stack_to_lists(stack):
 
 
 def cmd_export_dataset(args) -> int:
-    cfg = _load_config(args.config)
-    n = _count("n", cfg.get("n", 10))
-    noise_t = cfg.get("noise_t")
-    if noise_t is not None:
-        _time("noise_t", noise_t)
-    seed = _master_seed(args, cfg)
-    model = _resolve_model(cfg)
+    c = _config(args)
+    n, noise_t, seed = c["n"], c["noise_t"], c["seed"]
+    model = _resolve_model(c)
     out = Path(args.out or ".") / "dataset.jsonl"
     out.parent.mkdir(parents=True, exist_ok=True)
-    cfg_hash = _config_hash(cfg)
     with open(out, "w") as f:
         for i in range(n):
             rng = stream(seed, "export", i)
@@ -361,7 +351,7 @@ def cmd_export_dataset(args) -> int:
                 "schema_version": 1,
                 "build": BUILD_ID,
                 "seed": seed,
-                "config_hash": cfg_hash,
+                "config_hash": c["config_hash"],
                 "index": i,
                 "x_r": int(s.root),
                 "levels": {

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bp import conditioned_denoiser
+from .bp import conditioned_denoiser, root_log_posterior
 from .model import JghmModel, ModelError
 from .oracle import DEFAULT_BUDGET, encode_leaves, enumerate_joint
 from .metrics import RiskReport
@@ -94,12 +94,18 @@ def sampled_law(model: JghmModel, x_tx: np.ndarray, cfg: SdeConfig,
 
     Returns (counts, cond): the number of trajectories ending at each image
     tuple (integer, in enumeration order) and the exact conditional
-    P(x_im | x_tx) over the same tuples.
+    P(x_im | x_tx) over the same tuples. Raises ModelError before the SDE
+    starts if the data model or the drift model gives x_tx zero probability.
     """
     table = enumerate_joint(model, budget)
     col = table.joint[:, table.index("tx", x_tx)]
     if col.sum() == 0:
         raise ModelError("conditioning text has zero probability")
+    if drift_model is not None:
+        try:
+            root_log_posterior(drift_model, "tx", x_tx)  # raises where P(x_tx) = 0
+        except ModelError as e:
+            raise ModelError("the drift (train) model gives the conditioning text zero probability") from e
     cond = col / col.sum()
     rounded = round_to_states(sample_image_sde(model, x_tx, cfg, drift_model=drift_model),
                               model.n_states)

@@ -20,6 +20,7 @@ from .oracle import (
     JointTable,
     _expected_kl,
     _fiber_joint,
+    _gaussian_tilted_mean,
     enumerate_joint,
     kl_rows,
     score_matrix,
@@ -270,14 +271,7 @@ def cdm_estimation_error(model: JghmModel, encoder, t: float = 1.0, n: int = 100
         noisy = noise_image(draws.x_im, t, rng)
         m_star = bayes_denoiser(model, noisy, draws.x_tx)
         f = ids[table.index("tx", draws.x_tx)]
-        with np.errstate(divide="ignore"):
-            logw = np.log(fiber_joint[f])  # (B, N_im)
-        if t > 0:
-            logw = logw + noisy.z @ x_all.T - t * np.sum(x_all**2, axis=1) / 2.0
-        logw -= logw.max(axis=1, keepdims=True)
-        w = np.exp(logw)
-        w /= w.sum(axis=1, keepdims=True)
-        m_hat = w @ x_all
+        m_hat = _gaussian_tilted_mean(fiber_joint[f], noisy.z, t, x_all)
         errs[lo:hi] = ((m_star - m_hat) ** 2).mean(axis=1)
     est, se = _mean_se(errs)
     bound = 2.0 * model.n_states**2 * suff

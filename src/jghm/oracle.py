@@ -249,20 +249,24 @@ def exact_denoiser(model: JghmModel, z: np.ndarray, t: float, x_tx, table: Joint
     """E[x_im | z_t, x_tx] by enumeration with Gaussian leaf densities."""
     if table is None:
         table = enumerate_joint(model, budget)
-    j = table.index("tx", x_tx)
-    p_cond = table.joint[:, j]
+    p_cond = table.joint[:, table.index("tx", x_tx)]
     if p_cond.sum() == 0:
         raise ValueError("text leaves have zero probability under the model")
     x = table.tuples_im.astype(float)
+    return _gaussian_tilted_mean(p_cond, np.asarray(z, dtype=float), t, x)
+
+
+def _gaussian_tilted_mean(weights: np.ndarray, z: np.ndarray, t: float, x: np.ndarray):
+    """E[x | z = t x + sqrt(t) g] where x ranges over the rows of `x` with
+    prior weights `weights` (positive mass per row of `weights` and `z`)."""
     with np.errstate(divide="ignore"):
-        logw = np.log(p_cond)
+        logw = np.log(weights)
     if t > 0:
         # expanded Gaussian exponent <z, x> - t ||x||^2 / 2 (constant dropped)
-        z = np.asarray(z, dtype=float)
-        logw = logw + x @ z - t * np.sum(x**2, axis=1) / 2.0
-    logw = logw - logw.max()
+        logw = logw + z @ x.T - t * np.sum(x**2, axis=1) / 2.0
+    logw = logw - logw.max(axis=-1, keepdims=True)
     w = np.exp(logw)
-    w /= w.sum()
+    w /= w.sum(axis=-1, keepdims=True)
     return w @ x
 
 

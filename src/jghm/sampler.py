@@ -5,8 +5,8 @@ vectorize over a leading axis and consume generator draws in a fixed order,
 so identical generators reproduce identical bits.
 """
 
-import math
 import numbers
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,11 +45,12 @@ class Sample:
         return self.levels_tx[-1]
 
 
-def check_time(t: float):
-    """Reject a diffusion time that is not a real number (bools included),
-    or is negative, infinite or nan."""
-    if isinstance(t, bool) or not isinstance(t, numbers.Real) or not (math.isfinite(t) and t >= 0):
+def check_time(t: float) -> float:
+    """Return a diffusion time; reject one that is not a real number (bools
+    included), or is negative, infinite, nan or an integer beyond floats."""
+    if isinstance(t, bool) or not isinstance(t, numbers.Real) or not 0 <= t <= sys.float_info.max:
         raise ModelError(f"diffusion time t must be a finite real >= 0, got {t!r}")
+    return t
 
 
 @dataclass(frozen=True)

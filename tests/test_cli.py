@@ -1,20 +1,25 @@
+import contextlib
 import csv
 import hashlib
 import importlib
 import importlib.util
+import io
 import json
 import pkgutil
+import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import jghm
-from jghm import ModelGenSpec, TreeTopology, make_pflip_model, misspec_bp_eval
+from jghm import ModelGenSpec, TreeTopology, diffusion, make_pflip_model, misspec_bp_eval
 from jghm.model import model_to_json
-from jghm.cli import main
+from jghm.cli import CONFIGS, REQUIRED, _config, build_parser, main
 
 TOPO = {"depth": 2, "m_im": [2, 2], "m_tx": [2, 2], "n_states": 3}
 
@@ -115,12 +120,12 @@ class TestSweep:
         cfg = workdir / f"sweep-{task}.json"
         cfg.write_text(
             json.dumps({"task": task, "topology": TOPO, "model_seed": 3,
-                        "p_flip_list": [0.2, 0.4], "ood": True, "n": 150, "seed": 2})
+                        "p_flip_list": [0.2, 0.4], "train_p_flip": 0.2, "n": 150, "seed": 2})
         )
         r = run_cli("sweep", "--config", str(cfg), "--out", str(workdir / task))
         assert r.returncode == 0
         lines = (workdir / task / "sweep.csv").read_text().splitlines()
-        assert len(lines) == 3 + 1 + 3 * 2  # ood default train 0.2 adds two series
+        assert len(lines) == 3 + 1 + 3 * 2  # a train model adds two series
 
     def test_unknown_command_usage_error(self):
         r = run_cli("frobnicate")
@@ -324,6 +329,24 @@ class TestOtherCommands:
     ("gen-model", {"topology": {k: v for k, v in TOPO.items() if k != "m_tx"}, "p_flip": 0.3}),
     ("sweep", {"task": "clip", "topology": TOPO, "p_flip_list": [0.2], "n": 10, "ood": "yes"}),
     ("sweep", {"task": "clip", "topology": TOPO, "p_flip_list": [0.2], "n": 10, "ood": 1}),
+    # unhashable names, a non-string or null model_path, nulls, unknown and removed keys
+    ("sweep", {"task": [1], "topology": TOPO, "p_flip_list": [0.2], "n": 10}),
+    ("zsc", {"topology": TOPO, "p_flip": 0.3, "n": 10, "score": [1]}),
+    ("vlm", {"topology": TOPO, "p_flip": 0.3, "encoder": {}}),
+    ("zsc", {"model_path": 5, "n": 10}),
+    ("zsc", {"model_path": None, "n": 10}),
+    ("sweep", {"task": "clip", "topology": TOPO, "p_flip_list": [0.2], "n": 10, "train_p_flip": None}),
+    ("cdm-sample", {"topology": TOPO, "p_flip": 0.3, "train_p_flip": None}),
+    ("export-dataset", {"topology": TOPO, "p_flip": 0.3, "n": 2, "noise_t": None}),
+    ("gen-model", {"topology": TOPO, "p_flip": 0.3, "p_flip_im": None}),
+    ("zsc", {"topology": TOPO, "p_flip": 0.3, "n": 10, "unknown_key": 1}),
+    ("sweep", {"task": "clip", "topology": TOPO, "p_flip_list": [0.2], "n": 10, "ood": True}),
+    ("zsc", {"topology": TOPO, "p_flip": 0.3, "n": 10, "M": 4}),
+    ("zsc", {"topology": TOPO, "p_flip": 0.3, "n": 10, "M": 4, "M_list": [4]}),
+    ("sweep", {"task": "clip", "topology": TOPO, "p_flip_list": [0.2], "n": 10, "p_flip": 0.3}),
+    ("sweep", {"task": "clip", "topology": TOPO, "p_flip_list": [0.2], "n": 10,
+               "model_path": "model.json"}),
+    ("vlm", {"topology": TOPO, "p_flip": 0.3, "n": 10}),
 ])
 def test_bad_config_exits_2_without_traceback(workdir, command, cfg):
     path = workdir / "bad.json"
@@ -331,6 +354,120 @@ def test_bad_config_exits_2_without_traceback(workdir, command, cfg):
     r = run_cli(*command.split(), "--config", str(path), "--out", str(workdir / "o"))
     assert r.returncode == 2
     assert "Traceback" not in r.stderr and r.stderr.startswith("error: ")
+
+
+# Any JSON value: null, bools, integers far beyond 64 bits, nan and the
+# infinities (Python's json module writes and reads them), strings, lists
+# and objects.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2**200, 2**200) | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=2) | st.dictionaries(st.text(max_size=2), inner, max_size=2),
+    max_leaves=3)
+# Values each key's reader may accept, so that draws reach the model build
+# and the run, not only the first bad key.
+PROBABILITIES = st.floats(0, 1)
+COUNTS = st.integers(1, 3)
+SEEDS = st.integers(-3, 3) | st.sampled_from([-2**127, 2**127 - 1, 2**127])
+PLAUSIBLE = {
+    "task": st.sampled_from(["clip", "zsc", "cdm", "vlm"]),
+    "score": st.sampled_from(["exact", "coarsened", "constant"]),
+    "encoder": st.sampled_from(["canonical", "coarsened", "constant"]),
+    "model_path": st.just("missing-model.json"),
+    "p_flip": PROBABILITIES, "p_flip_im": PROBABILITIES, "p_flip_tx": PROBABILITIES,
+    "train_p_flip": PROBABILITIES,
+    "p_flip_list": st.lists(PROBABILITIES, min_size=1, max_size=2),
+    "seed": SEEDS, "model_seed": SEEDS,
+    "gaussian_scale": st.floats(allow_nan=False),
+    "t": st.floats(min_value=0), "noise_t": st.floats(min_value=0),
+    "n": COUNTS, "K": COUNTS, "n_paths": COUNTS, "M_list": st.lists(COUNTS, min_size=1, max_size=2),
+    "T": st.sampled_from([0.5, 1.0]), "dt": st.sampled_from([0.25, 0.5]),
+    "text": st.lists(st.integers(0, 4), min_size=3, max_size=5),
+}
+# The keys that set how much a run computes get, besides plausible values,
+# small numbers or values of other types, so that no draw asks for a long run.
+SMALL_NUMBERS = st.integers(-1, 3) | st.sampled_from([0.0, 0.25, 0.5, float("nan"), float("inf")])
+NOT_NUMBERS = JSON_VALUES.filter(lambda v: isinstance(v, bool) or not isinstance(v, (int, float)))
+SMALL_VALUES = SMALL_NUMBERS | NOT_NUMBERS | st.lists(SMALL_NUMBERS | NOT_NUMBERS, max_size=2)
+SIZE_KEYS = {"n", "K", "n_paths", "T", "dt", "M_list", "p_flip_list"}
+# a valid reference-scale config of each command, at tiny counts
+BASE_CONFIGS = {
+    "gen-model": {"topology": TOPO, "p_flip": 0.3},
+    "sweep": {"task": "clip", "topology": TOPO, "p_flip_list": [0.3], "n": 2, "K": 2},
+    "zsc": {"topology": TOPO, "p_flip": 0.3, "n": 2, "M_list": [2]},
+    "cdm-sample": {"topology": TOPO, "p_flip": 0.3, "n_paths": 2, "T": 1.0, "dt": 0.5},
+    "vlm": {"topology": TOPO, "p_flip": 0.3},
+    "export-dataset": {"topology": TOPO, "p_flip": 0.3, "n": 2},
+}
+
+
+@pytest.mark.filterwarnings("ignore:model has zero entries")  # gen-model at p_flip 0
+@pytest.mark.parametrize("command", sorted(CONFIGS))
+def test_any_config_exits_0_1_or_2(command):
+    """Any JSON value under any key of a command's table, on a fixed
+    reference topology, ends in exit 0, 1 or 2 and never in an exception;
+    a key outside the table always exits 2 and is named."""
+    keys = {key: PLAUSIBLE[key] | (SMALL_VALUES if key in SIZE_KEYS else JSON_VALUES)
+            for key in CONFIGS[command] if key != "topology"}
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    # up to three keys of a valid config are redrawn, so that most draws get
+    # past the config to the model build and the run
+    @given(drawn=st.lists(st.sampled_from(sorted(keys)), max_size=3, unique=True).flatmap(
+               lambda names: st.fixed_dictionaries({name: keys[name] for name in names})),
+           extra=st.tuples(st.integers(0, 7), JSON_VALUES))
+    def check(drawn, extra):
+        pick, value = extra
+        junk = pick == 7  # some draws carry a key outside the table
+        cfg = {**BASE_CONFIGS[command], **drawn, **({"junk_key": value} if junk else {})}
+        err = io.StringIO()
+        with tempfile.TemporaryDirectory() as out, contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(err):
+            path = Path(out) / "cfg.json"
+            path.write_text(json.dumps(cfg))
+            code = main([command, "--config", str(path), "--out", out])
+        assert code in (0, 1, 2)
+        if junk:
+            assert code == 2 and err.getvalue().startswith("error: junk_key: ")
+
+    check()
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_lists_each_command_table():
+    """README's list of each command's keys, with `*` for required and `=`
+    for a JSON default, is its table in CONFIGS."""
+    documented, body = {}, None
+    for line in README.read_text().splitlines():
+        start = re.match(r"- `([a-z-]+)`: (.*)", line)
+        if start and start[1] in CONFIGS:
+            body = documented[start[1]] = [start[2]]
+        elif body is not None and line.startswith("  "):
+            body.append(line.strip())
+        else:
+            body = None
+    assert set(documented) == set(CONFIGS)
+    for command, table in CONFIGS.items():
+        keys = {}
+        for item in " ".join(documented[command]).split(", "):
+            key, mark = re.fullmatch(r"`(\w+)`(\\\*|=.+)?", item).groups()
+            keys[key] = REQUIRED if mark == "\\*" else None if mark is None else json.loads(mark[1:])
+        assert keys == {key: default for key, (_, default) in table.items()}, command
+
+
+def test_readme_example_configs_pass_their_tables(workdir):
+    """Every example config in README, with `{...}` as the reference
+    topology, is read by the table of the command README runs it with."""
+    text = README.read_text()
+    commands = {name: command for command, name in
+                re.findall(r"^jghm ([a-z-]+) +--config (\S+)", text, re.M)}
+    examples = re.findall(r"^// (\S+) — .*\n((?:[{ ].*\n)+)", text, re.M)
+    assert sorted(name for name, _ in examples) == sorted(commands)
+    for name, body in examples:
+        path = workdir / name
+        path.write_text(body.replace("{...}", json.dumps(TOPO)))
+        _config(build_parser().parse_args([commands[name], "--config", str(path)]))
 
 
 SWEEP = {"topology": TOPO, "model_seed": 3, "p_flip_list": [0.1, 0.3], "train_p_flip": 0.2,
@@ -389,6 +526,21 @@ def test_vlm_command_on_permutation_model(workdir, encoder, estimate):
     assert main(["vlm", "--config", str(path), "--out", str(workdir)]) == 0
     row = list(csv.reader((workdir / "vlm.csv").read_text().splitlines()[4:]))[0]
     assert float(row[1]) == pytest.approx(estimate, abs=1e-12)
+
+
+def test_cdm_sample_names_a_zero_mass_drift_text(workdir, capsys, monkeypatch):
+    """A train model that gives the conditioning text zero probability stops
+    the run before the SDE starts, with exit 1 and an error that says so."""
+    def no_sde(*args, **kwargs):
+        raise AssertionError("the SDE ran")
+
+    monkeypatch.setattr(diffusion, "sample_image_sde", no_sde)
+    path = workdir / "cdm.json"
+    path.write_text(json.dumps({"topology": TOPO, "p_flip": 0.3, "model_seed": 11,
+                                "train_p_flip": 0.0, "n_paths": 4, "T": 1, "dt": 0.5}))
+    assert main(["cdm-sample", "--config", str(path), "--seed", "2", "--out", str(workdir)]) == 1
+    assert capsys.readouterr().err == (
+        "error: the drift (train) model gives the conditioning text zero probability\n")
 
 
 def test_selftest_passes():
