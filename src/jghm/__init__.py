@@ -55,7 +55,6 @@ from .oracle import (
     enumerate_joint,
     exact_conditional_root,
     exact_denoiser,
-    exact_mutual_information,
     exact_next_token,
     exact_suff_encoder,
     exact_suff_score,

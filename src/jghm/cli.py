@@ -204,12 +204,18 @@ def _config(args) -> dict:
     return c
 
 
-def _gen_spec(c, p_flip) -> ModelGenSpec:
+def _generated_model(c, p_flip) -> JghmModel:
+    """The model generated at p_flip. Its ModelError, a gaussian_scale that
+    overflows the kernel draws, is a config error."""
     if c["topology"] is None:
         raise ConfigError("topology: missing; a generated model needs it")
-    return ModelGenSpec(topology=c["topology"], p_flip=p_flip, seed=c["model_seed"],
+    spec = ModelGenSpec(topology=c["topology"], p_flip=p_flip, seed=c["model_seed"],
                         gaussian_scale=c["gaussian_scale"], p_flip_im=c["p_flip_im"],
                         p_flip_tx=c["p_flip_tx"])
+    try:
+        return make_pflip_model(spec)
+    except ModelError as e:
+        raise ConfigError(str(e)) from e
 
 
 def _resolve_model(c) -> JghmModel:
@@ -218,7 +224,7 @@ def _resolve_model(c) -> JghmModel:
     if model is None:
         if c["p_flip"] is None:
             raise ConfigError("p_flip: missing; give it (with topology) or model_path")
-        return make_pflip_model(_gen_spec(c, c["p_flip"]))
+        return _generated_model(c, c["p_flip"])
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         validate_model(model)  # corrupted files fail with the named invariant
@@ -245,7 +251,7 @@ def _write_reports(path: Path, reports, c):
 
 def cmd_gen_model(args) -> int:
     c = _config(args)
-    model = make_pflip_model(_gen_spec(c, c["p_flip"]))
+    model = _generated_model(c, c["p_flip"])
     b_psi = validate_model(model)
     out = Path(args.out or ".") / "model.json"
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -261,10 +267,10 @@ def cmd_sweep(args) -> int:
     kwargs = {"n": c["n"], "seed": c["seed"], "K": c["K"], "t": c["t"]}
     train_model = None
     if c["train_p_flip"] is not None:
-        train_model = make_pflip_model(_gen_spec(c, c["train_p_flip"]))
+        train_model = _generated_model(c, c["train_p_flip"])
 
     def run_point(p):
-        test_model = make_pflip_model(_gen_spec(c, p))
+        test_model = _generated_model(c, p)
         if train_model is None:
             return [misspec_bp_eval(test_model, test_model, c["task"], **kwargs).bayes]
         res = misspec_bp_eval(train_model, test_model, c["task"], **kwargs)
@@ -293,7 +299,7 @@ def cmd_cdm_sample(args) -> int:
     try:
         sde = SdeConfig(horizon=c["T"], dt=c["dt"], n_paths=c["n_paths"], seed=c["seed"])
     except ModelError as e:
-        raise ConfigError(f"SDE grid: {e}") from e
+        raise ConfigError(f"T/dt: {e}") from e
     model = _resolve_model(c)
     d_tx, S = model.topology.d_tx, model.n_states
     if c["text"] is None:
@@ -304,7 +310,7 @@ def cmd_cdm_sample(args) -> int:
         x_tx = np.asarray(c["text"], dtype=np.int64)
     drift_model = None
     if c["train_p_flip"] is not None:
-        drift_model = make_pflip_model(_gen_spec(c, c["train_p_flip"]))
+        drift_model = _generated_model(c, c["train_p_flip"])
     counts, cond = sampled_law(model, x_tx, sde, drift_model=drift_model)
     out_dir = Path(args.out or ".")
     _write_reports(out_dir / "cdm_sample.csv", [law_distance(counts, cond, sde, drift_model)], c)
@@ -324,7 +330,7 @@ def cmd_cdm_sample(args) -> int:
 def cmd_vlm(args) -> int:
     c = _config(args)
     model = _resolve_model(c)
-    report = vlm_divergence(model, ENCODERS[c["encoder"]](model, "im"))
+    report = vlm_divergence(enumerate_joint(model), ENCODERS[c["encoder"]](model, "im"))
     _write_reports(Path(args.out or ".") / "vlm.csv", [report], c)
     return 0
 
@@ -405,12 +411,12 @@ def _selftest_bp_vs_oracle(model, label, failures):
         for t in (0.0, 1.0):
             noisy = noise_image(s.x_im, t, rng)
             ok &= np.abs(
-                bayes_denoiser(model, noisy, s.x_tx) - exact_denoiser(model, noisy.z, t, s.x_tx, table)
+                bayes_denoiser(model, noisy, s.x_tx) - exact_denoiser(table, noisy.z, t, s.x_tx)
             ).max() < 1e-8
         par = next_token_posteriors_parallel(model, s.x_im, s.x_tx)
         for i_pre in range(model.topology.d_tx):
             seq = next_token_posterior_bp(model, s.x_im, s.x_tx[:i_pre])
-            ok &= np.abs(seq - exact_next_token(model, s.x_im, s.x_tx[:i_pre], table)).max() < 1e-8
+            ok &= np.abs(seq - exact_next_token(table, s.x_im, s.x_tx[:i_pre])).max() < 1e-8
             ok &= np.abs(par[i_pre] - seq).max() < 1e-12
     status = "PASS" if ok else "FAIL"
     print(f"{status} bp-vs-oracle [{label}]")

@@ -14,7 +14,7 @@ import numpy as np
 
 from .bp import conditioned_denoiser, root_log_posterior
 from .model import JghmModel, ModelError
-from .oracle import DEFAULT_BUDGET, encode_leaves, enumerate_joint
+from .oracle import encode_leaves, enumerate_joint
 from .metrics import RiskReport
 from .rng import stream
 from .sampler import NoisyImage
@@ -22,6 +22,7 @@ from .sampler import NoisyImage
 __all__ = ["SdeConfig", "sample_image_sde", "round_to_states", "sampled_law", "law_distance"]
 
 TRAJ_CHUNK = 2048
+N_BOOTSTRAP = 200  # multinomial resamples behind the standard error of law_distance
 
 
 @dataclass(frozen=True)
@@ -89,15 +90,16 @@ def round_to_states(samples: np.ndarray, n_states: int) -> np.ndarray:
 
 
 def sampled_law(model: JghmModel, x_tx: np.ndarray, cfg: SdeConfig,
-                drift_model: JghmModel = None, budget: int = DEFAULT_BUDGET):
+                drift_model: JghmModel = None):
     """One SDE run rounded to the state grid, with its exact target.
 
     Returns (counts, cond): the number of trajectories ending at each image
     tuple (integer, in enumeration order) and the exact conditional
     P(x_im | x_tx) over the same tuples. Raises ModelError before the SDE
-    starts if the data model or the drift model gives x_tx zero probability.
+    starts if the data model or the drift model gives x_tx zero probability,
+    and BudgetExceeded if the model is too large to enumerate.
     """
-    table = enumerate_joint(model, budget)
+    table = enumerate_joint(model)
     col = table.joint[:, table.index("tx", x_tx)]
     if col.sum() == 0:
         raise ModelError("conditioning text has zero probability")
@@ -113,14 +115,14 @@ def sampled_law(model: JghmModel, x_tx: np.ndarray, cfg: SdeConfig,
 
 
 def law_distance(counts: np.ndarray, cond: np.ndarray, cfg: SdeConfig,
-                 drift_model: JghmModel = None, n_bootstrap: int = 200) -> RiskReport:
+                 drift_model: JghmModel = None) -> RiskReport:
     """Total variation between the empirical law of `counts` and `cond`; the
     standard error is a multinomial bootstrap."""
     counts = np.asarray(counts, dtype=float)
     emp = counts / counts.sum()
     tv = 0.5 * float(np.abs(emp - cond).sum())
 
-    resampled = stream(cfg.seed, "tv-bootstrap").multinomial(cfg.n_paths, emp, size=n_bootstrap)
+    resampled = stream(cfg.seed, "tv-bootstrap").multinomial(cfg.n_paths, emp, size=N_BOOTSTRAP)
     boot = 0.5 * np.abs(resampled / cfg.n_paths - cond).sum(axis=1)
     se = float(boot.std(ddof=1))
     meta = {

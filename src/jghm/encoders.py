@@ -17,7 +17,7 @@ from functools import partial
 import numpy as np
 
 from .bp import downsweep, evidence_from_states, root_posterior
-from .model import JghmModel
+from .model import JghmModel, by_modality
 
 __all__ = [
     "Encoder",
@@ -32,6 +32,7 @@ __all__ = [
 ]
 
 DEFAULT_PRECISION = 12
+MERGE = (1, 2)  # the root states the coarsened encoder and score pool
 
 
 @dataclass(frozen=True)
@@ -54,10 +55,10 @@ def _over_prior(p: np.ndarray, prior: np.ndarray) -> np.ndarray:
     return p / prior
 
 
-def _merge_posterior(p: np.ndarray, merge) -> np.ndarray:
-    """Posterior with the `merge` states pooled into one leading state."""
-    merged_col = p[..., [m - 1 for m in merge]].sum(axis=-1, keepdims=True)
-    keep = [s for s in range(p.shape[-1]) if s + 1 not in merge]
+def _merge_posterior(p: np.ndarray) -> np.ndarray:
+    """Posterior with the MERGE states pooled into one leading state."""
+    merged_col = p[..., [m - 1 for m in MERGE]].sum(axis=-1, keepdims=True)
+    keep = [s for s in range(p.shape[-1]) if s + 1 not in MERGE]
     out = np.concatenate([merged_col, p[..., keep]], axis=-1)
     return out / out.sum(axis=-1, keepdims=True)
 
@@ -75,15 +76,14 @@ def canonical_encoder(model: JghmModel, modality: str) -> Encoder:
     return Encoder(name=f"canonical-{modality}", fn=fn)
 
 
-def coarsened_root_encoder(model: JghmModel, modality: str, merge=(1, 2),
-                           precision: int = 1) -> Encoder:
-    """Posterior with the merge states collapsed into one, reported at coarse
+def coarsened_root_encoder(model: JghmModel, modality: str, precision: int = 1) -> Encoder:
+    """Posterior with the MERGE states collapsed into one, reported at coarse
     resolution. The merge alone rarely collides distinct posteriors on
     generic models, so the low default precision is what makes this encoder
     genuinely lossy (0 < Suff < MI)."""
 
     def fn(leaves):
-        return _merge_posterior(root_posterior(model, modality, leaves), merge)
+        return _merge_posterior(root_posterior(model, modality, leaves))
 
     return Encoder(name=f"coarsened-{modality}", fn=fn, precision=precision)
 
@@ -140,7 +140,7 @@ class BilinearScore:
         return root_posterior(self.model, modality, leaves)
 
     def transform(self, modality: str):
-        return self.im if modality == "im" else self.tx
+        return by_modality(modality, self.im, self.tx)
 
     def features(self, modality: str, leaves: np.ndarray) -> np.ndarray:
         return self.transform(modality)(self.posterior(modality, leaves))
@@ -167,15 +167,15 @@ def exact_score(model: JghmModel, clamp: float = None) -> BilinearScore:
                          partial(_over_prior, prior=model.root_prior), clamp)
 
 
-def coarsened_score(model: JghmModel, merge=(1, 2), clamp: float = None) -> BilinearScore:
+def coarsened_score(model: JghmModel) -> BilinearScore:
     """Lossy score through the coarsened root: the optimal score of the
     merged-state separator, strictly less informative than the exact one."""
-    merged_prior = _merge_posterior(model.root_prior[None, :], merge)[0]
+    merged_prior = _merge_posterior(model.root_prior[None, :])[0]
 
     def tx(p):
-        return _over_prior(_merge_posterior(p, merge), merged_prior)
+        return _over_prior(_merge_posterior(p), merged_prior)
 
-    return BilinearScore("coarsened", model, partial(_merge_posterior, merge=merge), tx, clamp)
+    return BilinearScore("coarsened", model, _merge_posterior, tx)
 
 
 def constant_score(value: float = 0.0) -> BilinearScore:

@@ -16,12 +16,10 @@ import numpy as np
 from .bp import bayes_denoiser, root_posterior, text_log_likelihood
 from .model import JghmModel, ModelError
 from .oracle import (
-    DEFAULT_BUDGET,
     JointTable,
     _expected_kl,
     _fiber_joint,
     _gaussian_tilted_mean,
-    enumerate_joint,
     kl_rows,
     score_matrix,
 )
@@ -203,10 +201,8 @@ def zsc_predict(model: JghmModel, score, x_im: np.ndarray, M: int, rng) -> np.nd
     return _class_prediction(pair, np.log(model.root_prior))[0]
 
 
-def zsc_infinite_sample_predict(model: JghmModel, score, x_im, table: JointTable = None) -> np.ndarray:
+def zsc_infinite_sample_predict(table: JointTable, score, x_im) -> np.ndarray:
     """Analytic M -> infinity limit of the classifier, by enumeration."""
-    if table is None:
-        table = enumerate_joint(model)
     scores = score_matrix(score, table)[int(table.index("im", x_im))]
     w = np.exp(scores - scores.max()) * table.p_tx
     joint_ty = table.prior[:, None] * table.cond_tx  # (S, N_tx): P(y, x_tx)
@@ -248,17 +244,15 @@ def zsc_kl_sweep(model: JghmModel, score, M_list, n: int, seed: int):
 # ---------------------------------------------------------------------------
 
 
-def cdm_estimation_error(model: JghmModel, encoder, t: float = 1.0, n: int = 100_000,
-                         seed: int = 0, table: JointTable = None,
-                         budget: int = DEFAULT_BUDGET) -> RiskReport:
+def cdm_estimation_error(model: JghmModel, table: JointTable, encoder, t: float, n: int,
+                         seed: int) -> RiskReport:
     """(1/d_im) E || m*(z_t, x_tx) - E[x_im | z_t, encoder(x_tx)] ||^2.
 
     The encoder-restricted denoiser is computed exactly by fiber averaging
-    over the enumerated joint; the outer expectation is Monte Carlo. The
-    metadata carries the bound 2 S^2 Suff(encoder).
+    over `model`'s enumerated joint `table`; the outer expectation is Monte
+    Carlo over draws from `model`. The metadata carries the bound
+    2 S^2 Suff(encoder).
     """
-    if table is None:
-        table = enumerate_joint(model, budget)
     # fiber_joint[f, i] = P(encoder fiber f of x_tx, x_im = i)
     ids, joint, fiber_joint = _fiber_joint(table, "tx", encoder)
     x_all = table.tuples_im.astype(float)  # (N_im, d_im)
@@ -304,17 +298,14 @@ def _token_mass(weights: np.ndarray, codes, tokens, n_prefix: int, S: int) -> np
     return mass
 
 
-def vlm_divergence(model: JghmModel, encoder, table: JointTable = None,
-                   budget: int = DEFAULT_BUDGET) -> RiskReport:
+def vlm_divergence(table: JointTable, encoder) -> RiskReport:
     """Summed next-token KL between the true predictor and the
     encoder-restricted predictor, computed exactly by enumeration.
 
     D = E sum_i KL( P(x_tx,i | x_im, prefix) || P(x_tx,i | encoder(x_im), prefix) ).
     Each position i is one expected KL over the (image, prefix) rows.
     """
-    if table is None:
-        table = enumerate_joint(model, budget)
-    S = model.n_states
+    S = table.n_states
     ids, joint, fiber_joint = _fiber_joint(table, "im", encoder)
     suff = _expected_kl(joint, fiber_joint[ids])
 

@@ -11,6 +11,7 @@ and columns are 0-based internally (state s <-> index s-1).
 
 import json
 import numbers
+import sys
 import warnings
 from dataclasses import dataclass, field
 
@@ -24,6 +25,7 @@ __all__ = [
     "TreePlan",
     "ModelGenSpec",
     "ModelError",
+    "by_modality",
     "leaf_index",
     "validate_kernel",
     "validate_model",
@@ -48,6 +50,14 @@ class ModelError(ValueError):
             problems = [problems]
         self.problems = list(problems)
         super().__init__("; ".join(self.problems))
+
+
+def by_modality(modality: str, im, tx):
+    """`im` for the image tree, `tx` for the text tree; any other modality
+    raises ModelError."""
+    if modality not in MODALITIES:
+        raise ModelError(f"modality must be 'im' or 'tx', got {modality!r}")
+    return im if modality == "im" else tx
 
 
 @dataclass(frozen=True)
@@ -90,7 +100,7 @@ class TreeTopology:
             raise ModelError(problems)
 
     def branching(self, modality: str) -> tuple:
-        return self.m_im if modality == "im" else self.m_tx
+        return by_modality(modality, self.m_im, self.m_tx)
 
     def level_sizes(self, modality: str) -> tuple:
         """Node counts per level 1..L (the root, level 0, always has 1)."""
@@ -140,14 +150,12 @@ def leaf_index(topology: TreeTopology, modality: str, path) -> int:
     return index + 1
 
 
-def validate_kernel(kernel: np.ndarray, n_states: int):
-    """Return the list of invariant violations for one transition kernel."""
-    problems = []
-    if kernel.shape != (n_states, n_states):
-        return [f"kernel shape {kernel.shape} != ({n_states}, {n_states})"]
+def validate_kernel(kernel: np.ndarray):
+    """Return the list of value-invariant violations for one transition
+    kernel (JghmModel checks its shape)."""
     if not np.all(np.isfinite(kernel)):
-        problems.append("kernel has non-finite entries")
-        return problems
+        return ["kernel has non-finite entries"]
+    problems = []
     if np.any(kernel < 0):
         problems.append("kernel has negative entries")
     row_sums = kernel.sum(axis=1)
@@ -222,31 +230,39 @@ class JghmModel:
     plan_tx: TreePlan = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        S = self.topology.n_states
+        # shapes are checked here, value invariants by validate_model
+        topo, S = self.topology, self.topology.n_states
         prior = _frozen(np.asarray(self.root_prior, dtype=float).copy())
+        if prior.shape != (S,):
+            raise ModelError(f"root_prior shape {prior.shape} != ({S},)")
         object.__setattr__(self, "root_prior", prior)
         object.__setattr__(self, "root_cum", _frozen(np.cumsum(prior)))
         for modality in MODALITIES:
+            name = f"kernels_{modality}"
+            given = getattr(self, name)
+            if len(given) != topo.depth:
+                raise ModelError(f"{name} must have {topo.depth} levels, got {len(given)}")
             levels = []
-            for level_idx, level in enumerate(getattr(self, f"kernels_{modality}"), start=1):
-                if not len(level):
-                    raise ModelError(f"kernels_{modality} level {level_idx} has no kernels")
+            for level_idx, (level, m) in enumerate(zip(given, topo.branching(modality)), start=1):
+                if len(level) != m:
+                    raise ModelError(f"{name} level {level_idx} must have {m} kernels, "
+                                     f"got {len(level)}")
                 ks = []
                 for rank, k in enumerate(level, start=1):
                     k = _frozen(np.asarray(k, dtype=float).copy())
                     if k.shape != (S, S):
-                        raise ModelError(f"kernels_{modality}[{level_idx}][{rank}]: "
+                        raise ModelError(f"{name}[{level_idx}][{rank}]: "
                                          f"kernel shape {k.shape} != ({S}, {S})")
                     ks.append(k)
                 levels.append(tuple(ks))
-            object.__setattr__(self, f"kernels_{modality}", tuple(levels))
+            object.__setattr__(self, name, tuple(levels))
             object.__setattr__(self, f"plan_{modality}", _tree_plan(levels, S))
 
     def kernels(self, modality: str) -> tuple:
-        return self.kernels_im if modality == "im" else self.kernels_tx
+        return by_modality(modality, self.kernels_im, self.kernels_tx)
 
     def plan(self, modality: str) -> TreePlan:
-        return self.plan_im if modality == "im" else self.plan_tx
+        return by_modality(modality, self.plan_im, self.plan_tx)
 
     @property
     def n_states(self) -> int:
@@ -273,39 +289,23 @@ def effective_b_psi(model: JghmModel) -> float:
 
 
 def validate_model(model: JghmModel) -> float:
-    """Check every structural invariant; return the effective bound B_psi.
+    """Check every value invariant (JghmModel checks the shapes); return the
+    effective bound B_psi.
 
     Raises ModelError listing all violations. Kernels with exact-zero
     entries are legal (permutation models) but trigger a warning because
     the boundedness budget becomes infinite.
     """
-    topo = model.topology
-    S = topo.n_states
     problems = []
-
     prior = model.root_prior
-    if prior.shape != (S,):
-        problems.append(f"root_prior shape {prior.shape} != ({S},)")
-    else:
-        if np.any(prior <= 0):
-            problems.append("root_prior must be entrywise > 0")
-        if abs(float(prior.sum()) - 1.0) > MASS_TOL:
-            problems.append(f"root_prior sums to {prior.sum()!r}, expected 1")
-
+    if not np.all(prior > 0):  # nan included
+        problems.append("root_prior must be entrywise > 0")
+    if abs(float(prior.sum()) - 1.0) > MASS_TOL:
+        problems.append(f"root_prior sums to {prior.sum()!r}, expected 1")
     for modality in MODALITIES:
-        ms = topo.branching(modality)
-        levels = model.kernels(modality)
-        if len(levels) != topo.depth:
-            problems.append(f"kernels_{modality} must have {topo.depth} levels")
-            continue
-        for level_idx, (level, m) in enumerate(zip(levels, ms), start=1):
-            if len(level) != m:
-                problems.append(
-                    f"kernels_{modality} level {level_idx} must have {m} kernels, got {len(level)}"
-                )
-                continue
+        for level_idx, level in enumerate(model.kernels(modality), start=1):
             for rank, kernel in enumerate(level, start=1):
-                for p in validate_kernel(kernel, S):
+                for p in validate_kernel(kernel):
                     problems.append(f"kernels_{modality}[{level_idx}][{rank}]: {p}")
 
     if problems:
@@ -346,7 +346,7 @@ class ModelGenSpec:
                 raise ModelError(f"{name} must be a real number in [0, 1], got {p!r}")
 
     def mixing(self, modality: str) -> float:
-        override = self.p_flip_im if modality == "im" else self.p_flip_tx
+        override = by_modality(modality, self.p_flip_im, self.p_flip_tx)
         return self.p_flip if override is None else override
 
 
@@ -370,18 +370,20 @@ def make_pflip_model(spec: ModelGenSpec) -> JghmModel:
     """Generate the deterministic kernel-family model for a spec.
 
     Pure function of the spec: equal specs produce bit-identical models.
-    The root prior is uniform.
+    The root prior is uniform. A gaussian_scale whose draws overflow to
+    non-finite kernel entries raises ModelError.
     """
     topo = spec.topology
     S = topo.n_states
     kernels = {}
-    for modality in MODALITIES:
-        levels = []
-        for level, m in enumerate(topo.branching(modality), start=1):
-            levels.append(
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is caught below
+        for modality in MODALITIES:
+            kernels[modality] = tuple(
                 tuple(_pflip_kernel(spec, modality, level, rank) for rank in range(1, m + 1))
-            )
-        kernels[modality] = tuple(levels)
+                for level, m in enumerate(topo.branching(modality), start=1))
+    if not all(np.isfinite(k).all() for levels in kernels.values() for level in levels
+               for k in level):
+        raise ModelError(f"gaussian_scale: {spec.gaussian_scale!r} overflows the kernel draws")
     metadata = {
         "family": "pflip",
         "p_flip": float(spec.p_flip),
@@ -430,8 +432,24 @@ def _field(doc: dict, name: str, read):
         raise ModelError(f"model field {name!r}: {e}") from e
 
 
+def _numbers(value, depth: int):
+    """`value`, if it nests JSON lists `depth` deep around numbers that fit a
+    float; any other type (a bool, string, object or null) raises ModelError."""
+    if depth:
+        if not isinstance(value, list):
+            raise ModelError(f"expected a list, got {value!r}")
+        for v in value:
+            _numbers(v, depth - 1)
+    elif isinstance(value, bool) or not isinstance(value, (int, float)) \
+            or isinstance(value, int) and abs(value) > sys.float_info.max:
+        raise ModelError(f"expected a number, got {value!r}")
+    return value
+
+
 def _kernels_from_json(levels) -> tuple:
-    return tuple(tuple(np.array(k, dtype=float) for k in level) for level in levels)
+    """levels -> kernels -> rows -> entries, one float array per kernel."""
+    return tuple(tuple(np.array(k, dtype=float) for k in level)
+                 for level in _numbers(levels, 4))
 
 
 def topology_from_json(t) -> TreeTopology:
@@ -454,12 +472,16 @@ def model_from_json(text: str) -> JghmModel:
         raise ModelError(f"model is not JSON: {e}") from e
     if not isinstance(doc, dict):
         raise ModelError(f"model must be a JSON object, got {type(doc).__name__}")
-    if doc.get("schema_version") != 1:
-        raise ModelError(f"unsupported model schema_version {doc.get('schema_version')!r}")
+    version = doc.get("schema_version")
+    if type(version) is not int or version != 1:  # neither true nor 1.0 is a version
+        raise ModelError(f"unsupported model schema_version {version!r}")
+    metadata = doc.get("metadata", {})
+    if not isinstance(metadata, dict):
+        raise ModelError(f"model field 'metadata' must be an object, got {metadata!r}")
     return JghmModel(
         topology=_field(doc, "topology", topology_from_json),
-        root_prior=_field(doc, "root_prior", lambda p: np.array(p, dtype=float)),
+        root_prior=_field(doc, "root_prior", lambda p: np.array(_numbers(p, 1), dtype=float)),
         kernels_im=_field(doc, "kernels_im", _kernels_from_json),
         kernels_tx=_field(doc, "kernels_tx", _kernels_from_json),
-        metadata=doc.get("metadata", {}),
+        metadata=metadata,
     )

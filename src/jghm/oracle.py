@@ -4,6 +4,9 @@ Everything here works in the probability domain over exhaustive leaf-tuple
 tables and never calls the message-passing engine: it is the independent
 verification authority for the BP routines and the risk evaluators.
 
+Only `enumerate_joint` enumerates, and it refuses (BudgetExceeded) beyond
+its budget; every exact quantity below reads the `JointTable` it returns.
+
 Leaf tuples are encoded as mixed-radix integers with leaf 1 most
 significant, matching the canonical leaf numbering.
 """
@@ -12,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import JghmModel
+from .model import JghmModel, by_modality
 
 __all__ = [
     "DEFAULT_BUDGET",
@@ -23,7 +26,6 @@ __all__ = [
     "kl_rows",
     "mi_from_joint",
     "exact_conditional_root",
-    "exact_mutual_information",
     "encoder_fibers",
     "exact_suff_encoder",
     "exact_mi_encoder",
@@ -99,10 +101,10 @@ class JointTable:
         return self.joint.sum(axis=0)
 
     def cond(self, modality: str) -> np.ndarray:
-        return self.cond_im if modality == "im" else self.cond_tx
+        return by_modality(modality, self.cond_im, self.cond_tx)
 
     def tuples(self, modality: str) -> np.ndarray:
-        return self.tuples_im if modality == "im" else self.tuples_tx
+        return by_modality(modality, self.tuples_im, self.tuples_tx)
 
     def index(self, modality: str, leaves) -> np.ndarray:
         return encode_leaves(leaves, self.n_states)
@@ -165,10 +167,6 @@ def exact_conditional_root(table: JointTable, modality: str, leaves) -> np.ndarr
     return w / total
 
 
-def exact_mutual_information(table: JointTable) -> float:
-    return mi_from_joint(table.joint)
-
-
 def encoder_fibers(encoder, tuples: np.ndarray, mass: np.ndarray):
     """Group leaf tuples by quantized encoder output.
 
@@ -192,40 +190,31 @@ def _fiber_joint(table: JointTable, modality: str, encoder):
     Returns (fiber ids, this modality's joint with the other, fiber-level
     joint with the other modality).
     """
-    joint = table.joint if modality == "im" else table.joint.T
+    joint = by_modality(modality, table.joint, table.joint.T)
     ids, n_fibers = encoder_fibers(encoder, table.tuples(modality), joint.sum(axis=1))
     agg = np.zeros((n_fibers, joint.shape[1]))
     np.add.at(agg, ids, joint)
     return ids, joint, agg
 
 
-def exact_suff_encoder(model: JghmModel, encoder, modality: str, table: JointTable = None,
-                       budget: int = DEFAULT_BUDGET) -> float:
+def exact_suff_encoder(table: JointTable, encoder, modality: str) -> float:
     """Expected KL information loss of conditioning on the encoder output
     instead of the raw leaves."""
-    if table is None:
-        table = enumerate_joint(model, budget)
     ids, joint, agg = _fiber_joint(table, modality, encoder)
     return _expected_kl(joint, agg[ids])
 
 
-def exact_mi_encoder(model: JghmModel, encoder, modality: str, table: JointTable = None,
-                     budget: int = DEFAULT_BUDGET) -> float:
+def exact_mi_encoder(table: JointTable, encoder, modality: str) -> float:
     """MI between the encoder output and the other modality's leaves."""
-    if table is None:
-        table = enumerate_joint(model, budget)
     return mi_from_joint(_fiber_joint(table, modality, encoder)[2])
 
 
-def exact_suff_score(model: JghmModel, score, table: JointTable = None,
-                     budget: int = DEFAULT_BUDGET) -> float:
+def exact_suff_score(table: JointTable, score) -> float:
     """Sufficiency of a similarity score via its induced joint law.
 
     The score induces P_hat(x_im, x_tx) proportional to
     exp(score) * P(x_im) * P(x_tx); both conditional KL terms are summed.
     """
-    if table is None:
-        table = enumerate_joint(model, budget)
     scores = score_matrix(score, table)
     with np.errstate(over="raise"):
         induced = np.exp(scores) * np.outer(table.p_im, table.p_tx)
@@ -244,11 +233,8 @@ def score_matrix(score, table: JointTable) -> np.ndarray:
     return scores
 
 
-def exact_denoiser(model: JghmModel, z: np.ndarray, t: float, x_tx, table: JointTable = None,
-                   budget: int = DEFAULT_BUDGET) -> np.ndarray:
+def exact_denoiser(table: JointTable, z: np.ndarray, t: float, x_tx) -> np.ndarray:
     """E[x_im | z_t, x_tx] by enumeration with Gaussian leaf densities."""
-    if table is None:
-        table = enumerate_joint(model, budget)
     p_cond = table.joint[:, table.index("tx", x_tx)]
     if p_cond.sum() == 0:
         raise ValueError("text leaves have zero probability under the model")
@@ -291,10 +277,7 @@ def next_token_from_weights(table: JointTable, weights: np.ndarray, prefix) -> n
     return out / total
 
 
-def exact_next_token(model: JghmModel, x_im, prefix, table: JointTable = None,
-                     budget: int = DEFAULT_BUDGET) -> np.ndarray:
+def exact_next_token(table: JointTable, x_im, prefix) -> np.ndarray:
     """P(x_tx,i+1 | x_im, prefix) by enumeration."""
-    if table is None:
-        table = enumerate_joint(model, budget)
     i_img = table.index("im", x_im)
     return next_token_from_weights(table, table.joint[i_img], prefix)

@@ -26,21 +26,17 @@ def reference_topology() -> TreeTopology:
     return TreeTopology(depth=2, m_im=(2, 2), m_tx=(2, 2), n_states=3)
 
 
-def reference_model(p_flip: float = 0.3, seed: int = REFERENCE_SEED) -> JghmModel:
+def reference_model(p_flip: float = 0.3) -> JghmModel:
     return make_pflip_model(
-        ModelGenSpec(topology=reference_topology(), p_flip=p_flip, seed=seed)
-    )
+        ModelGenSpec(topology=reference_topology(), p_flip=p_flip, seed=REFERENCE_SEED))
 
 
-def zsc_reference_model(seed: int = REFERENCE_SEED) -> JghmModel:
+def zsc_reference_model() -> JghmModel:
     """Reference instance for class prediction: near-deterministic text so
     the text essentially pins down the root (the regime in which the
     aggregated-score classifier is consistent)."""
-    return make_pflip_model(
-        ModelGenSpec(
-            topology=reference_topology(), p_flip=0.3, p_flip_tx=0.05, seed=seed
-        )
-    )
+    return make_pflip_model(ModelGenSpec(topology=reference_topology(), p_flip=0.3,
+                                         p_flip_tx=0.05, seed=REFERENCE_SEED))
 
 
 def micro_topology() -> TreeTopology:
@@ -48,8 +44,8 @@ def micro_topology() -> TreeTopology:
     return TreeTopology(depth=1, m_im=(1,), m_tx=(1,), n_states=2)
 
 
-def micro_model(p_flip: float = 0.5, seed: int = REFERENCE_SEED) -> JghmModel:
-    return make_pflip_model(ModelGenSpec(topology=micro_topology(), p_flip=p_flip, seed=seed))
+def micro_model() -> JghmModel:
+    return make_pflip_model(ModelGenSpec(topology=micro_topology(), p_flip=0.5, seed=REFERENCE_SEED))
 
 
 def diffusion_topology() -> TreeTopology:
@@ -57,8 +53,9 @@ def diffusion_topology() -> TreeTopology:
     return TreeTopology(depth=1, m_im=(2,), m_tx=(2,), n_states=2)
 
 
-def diffusion_model(p_flip: float = 0.35, seed: int = REFERENCE_SEED) -> JghmModel:
-    return make_pflip_model(ModelGenSpec(topology=diffusion_topology(), p_flip=p_flip, seed=seed))
+def diffusion_model(p_flip: float = 0.35) -> JghmModel:
+    return make_pflip_model(
+        ModelGenSpec(topology=diffusion_topology(), p_flip=p_flip, seed=REFERENCE_SEED))
 
 
 def large_scale_topology() -> TreeTopology:

@@ -153,14 +153,10 @@ def noise_image(x_im: np.ndarray, t: float, rng: np.random.Generator, g=None) ->
     return NoisyImage(t=float(t), z=t * x + np.sqrt(t) * np.asarray(g, dtype=float))
 
 
-def sample_text_for_class(model: JghmModel, y: int, rng: np.random.Generator, size=None) -> np.ndarray:
-    """Sample text leaves conditioned on the root being class y.
-
-    Returns (d_tx,) for size=None, else (size, d_tx).
-    """
+def sample_text_for_class(model: JghmModel, y: int, rng: np.random.Generator,
+                          size: int) -> np.ndarray:
+    """Sample `size` text leaf vectors (size, d_tx) conditioned on the root
+    being class y."""
     if not 1 <= y <= model.n_states:
         raise ModelError(f"class {y} out of range [1, {model.n_states}]")
-    B = 1 if size is None else int(size)
-    roots = np.full(B, y, dtype=np.int64)
-    leaves = _sample_tree(model, "tx", roots, rng)[-1]
-    return leaves[0] if size is None else leaves
+    return _sample_tree(model, "tx", np.full(size, y, dtype=np.int64), rng)[-1]

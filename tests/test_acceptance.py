@@ -42,10 +42,10 @@ from jghm.oracle import (
     exact_conditional_root,
     exact_denoiser,
     exact_mi_encoder,
-    exact_mutual_information,
     exact_next_token,
     exact_suff_encoder,
     exact_suff_score,
+    mi_from_joint,
 )
 from jghm.presets import (
     diffusion_model,
@@ -115,13 +115,13 @@ def test_criterion_01_bp_matches_enumeration(battery):
                 z = t * s.x_im + np.sqrt(t) * rng.standard_normal(4)
                 err = np.abs(
                     bayes_denoiser(model, NoisyImage(t=t, z=z), s.x_tx)
-                    - exact_denoiser(model, z, t, s.x_tx, table)
+                    - exact_denoiser(table, z, t, s.x_tx)
                 ).max()
                 worst = max(worst, err)
             for i_pre in range(4):
                 err = np.abs(
                     next_token_posterior_bp(model, s.x_im, s.x_tx[:i_pre])
-                    - exact_next_token(model, s.x_im, s.x_tx[:i_pre], table)
+                    - exact_next_token(table, s.x_im, s.x_tx[:i_pre])
                 ).max()
                 worst = max(worst, err)
     elapsed = time.time() - t_start
@@ -145,7 +145,7 @@ def test_criterion_02_parallel_matches_sequential(battery):
 
 def test_criterion_03_mi_limit(ref, mi_run):
     _, table = ref
-    mi = exact_mutual_information(table)
+    mi = mi_from_joint(table.joint)
     series = [r for r in mi_run if r.name == "mi_limit"]
     ests = [r.estimate for r in series]
     ses = [r.se for r in series]
@@ -163,7 +163,7 @@ def test_criterion_03_mi_limit(ref, mi_run):
 
 def test_criterion_04_excess_matches_sufficiency(ref, mi_run):
     model, table = ref
-    suff = exact_suff_score(model, coarsened_score(model), table)
+    suff = exact_suff_score(table, coarsened_score(model))
     excess = [r for r in mi_run if r.name == "clip_excess"][-1]
     gap_ok = abs(excess.estimate - suff) <= max(0.05, 4 * excess.se)
     star = clip_excess_and_mi_limit(model, exact_score(model), [8], 2_000, seed=1202)
@@ -179,7 +179,7 @@ def test_criterion_04_excess_matches_sufficiency(ref, mi_run):
 
 def test_criterion_05_sufficiency_identities(ref):
     model, table = ref
-    mi = exact_mutual_information(table)
+    mi = mi_from_joint(table.joint)
     shipped = [
         ("im", coarsened_root_encoder(model, "im")),
         ("im", constant_encoder(model, "im")),
@@ -189,11 +189,11 @@ def test_criterion_05_sufficiency_identities(ref):
     ]
     identity_ok = True
     for modality, enc in shipped:
-        suff = exact_suff_encoder(model, enc, modality, table)
-        gap = abs(suff - (mi - exact_mi_encoder(model, enc, modality, table)))
+        suff = exact_suff_encoder(table, enc, modality)
+        gap = abs(suff - (mi - exact_mi_encoder(table, enc, modality)))
         identity_ok &= gap <= 1e-9
-    exact_suff = exact_suff_encoder(model, canonical_encoder(model, "im"), "im", table)
-    const_suff = exact_suff_encoder(model, constant_encoder(model, "im"), "im", table)
+    exact_suff = exact_suff_encoder(table, canonical_encoder(model, "im"), "im")
+    const_suff = exact_suff_encoder(table, constant_encoder(model, "im"), "im")
     ok = identity_ok and exact_suff <= 1e-9 and abs(const_suff - mi) <= 1e-9
     report(
         5,
@@ -213,7 +213,7 @@ def test_criterion_06_zsc():
         b.estimate <= a.estimate + 4 * (a.se + b.se) for a, b in zip(sweep, sweep[1:])
     )
     lossy = coarsened_score(model)
-    suff = exact_suff_score(model, lossy, table)
+    suff = exact_suff_score(table, lossy)
     lossy_kl = zsc_kl_sweep(model, lossy, [4096], 600, seed=1207)[0]
     lossy_ok = lossy_kl.estimate <= suff + 0.02
     report(
@@ -227,11 +227,11 @@ def test_criterion_06_zsc():
 def test_criterion_07_cdm_inequality(ref):
     model, table = ref
     lossy = cdm_estimation_error(
-        model, coarsened_root_encoder(model, "tx"), t=1.0, n=6_000, seed=1208, table=table
+        model, table, coarsened_root_encoder(model, "tx"), t=1.0, n=6_000, seed=1208
     )
     bound_ok = lossy.estimate <= lossy.metadata["bound"] + 4 * lossy.se
     exact = cdm_estimation_error(
-        model, canonical_encoder(model, "tx"), t=1.0, n=2_000, seed=1209, table=table
+        model, table, canonical_encoder(model, "tx"), t=1.0, n=2_000, seed=1209
     )
     exact_ok = exact.estimate <= 4 * exact.se + 1e-12
     report(
@@ -251,10 +251,10 @@ def test_criterion_08_vlm_inequality(ref):
         coarsened_root_encoder(model, "im"),
         constant_encoder(model, "im"),
     ):
-        r = vlm_divergence(model, enc, table)
+        r = vlm_divergence(table, enc)
         ok &= r.estimate <= r.metadata["suff"] + 1e-9
         details.append(f"{enc.name}: D={r.estimate:.4f}<=Suff={r.metadata['suff']:.4f}")
-    exact_r = vlm_divergence(model, canonical_encoder(model, "im"), table)
+    exact_r = vlm_divergence(table, canonical_encoder(model, "im"))
     ok &= exact_r.estimate <= 1e-9
     report(8, ok, "; ".join(details))
 

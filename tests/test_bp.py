@@ -227,7 +227,7 @@ class TestDenoiser:
             t = float(rng.uniform(0.1, 5.0))
             z = t * s.x_im + np.sqrt(t) * rng.standard_normal(4)
             got = bayes_denoiser(ref_model, NoisyImage(t=t, z=z), s.x_tx)
-            want = exact_denoiser(ref_model, z, t, s.x_tx, ref_table)
+            want = exact_denoiser(ref_table, z, t, s.x_tx)
             assert np.allclose(got, want, atol=1e-8)
             assert np.all((got >= 1) & (got <= 3))
 
@@ -250,7 +250,7 @@ class TestDenoiser:
     def test_t_zero_is_conditional_mean(self, ref_model, ref_table):
         s = sample_joint(ref_model, stream(9, "den3"))
         got = bayes_denoiser(ref_model, NoisyImage(t=0.0, z=np.zeros(4)), s.x_tx)
-        want = exact_denoiser(ref_model, np.zeros(4), 0.0, s.x_tx, ref_table)
+        want = exact_denoiser(ref_table, np.zeros(4), 0.0, s.x_tx)
         assert np.allclose(got, want, atol=1e-8)
 
     def test_constant_kernels_marginal_mean(self):
@@ -267,7 +267,7 @@ class TestDenoiser:
         got = bayes_denoiser(ref_model, NoisyImage(t=t, z=z), s.x_tx)
         assert got.shape == (5, 4)
         for k in range(5):
-            assert np.allclose(got[k], exact_denoiser(ref_model, z[k], t, s.x_tx, ref_table), atol=1e-8)
+            assert np.allclose(got[k], exact_denoiser(ref_table, z[k], t, s.x_tx), atol=1e-8)
 
     def test_noise_evidence_normalized_once_per_call(self, ref_model, monkeypatch):
         s = sample_joint(ref_model, stream(11, "den5"))
@@ -293,7 +293,7 @@ class TestNextToken:
             s = sample_joint(ref_model, rng)
             for i in range(4):
                 got = next_token_posterior_bp(ref_model, s.x_im, s.x_tx[:i])
-                want = exact_next_token(ref_model, s.x_im, s.x_tx[:i], ref_table)
+                want = exact_next_token(ref_table, s.x_im, s.x_tx[:i])
                 assert np.allclose(got, want, atol=1e-9)
                 assert got.sum() == pytest.approx(1.0)
 
@@ -345,7 +345,7 @@ class TestNextToken:
         s = sample_joint(m, stream(17, "单"))
         par = next_token_posteriors_parallel(m, s.x_im, s.x_tx)
         table = enumerate_joint(m)
-        want = exact_next_token(m, s.x_im, [], table)
+        want = exact_next_token(table, s.x_im, [])
         assert par.shape == (1, 2)
         assert np.allclose(par[0], want, atol=1e-12)
 
@@ -587,13 +587,13 @@ class TestBpOracleSweep:
             z = t * s.x_im + np.sqrt(t) * rng.standard_normal(4)
             assert np.allclose(
                 bayes_denoiser(m, NoisyImage(t=t, z=z), s.x_tx),
-                exact_denoiser(m, z, t, s.x_tx, table),
+                exact_denoiser(table, z, t, s.x_tx),
                 atol=1e-8,
             )
             for i_pre in range(4):
                 assert np.allclose(
                     next_token_posterior_bp(m, s.x_im, s.x_tx[:i_pre]),
-                    exact_next_token(m, s.x_im, s.x_tx[:i_pre], table),
+                    exact_next_token(table, s.x_im, s.x_tx[:i_pre]),
                     atol=1e-9,
                 )
 

@@ -1,4 +1,5 @@
 import contextlib
+import copy
 import csv
 import hashlib
 import importlib
@@ -347,6 +348,11 @@ class TestOtherCommands:
     ("sweep", {"task": "clip", "topology": TOPO, "p_flip_list": [0.2], "n": 10,
                "model_path": "model.json"}),
     ("vlm", {"topology": TOPO, "p_flip": 0.3, "n": 10}),
+    # a gaussian_scale whose kernel draws overflow
+    ("gen-model", {"topology": TOPO, "p_flip": 0.3, "gaussian_scale": 1e308}),
+    ("sweep", {"task": "clip", "topology": TOPO, "p_flip_list": [0.2], "n": 10,
+               "gaussian_scale": 1e308}),
+    ("vlm", {"topology": TOPO, "p_flip": 0.3, "gaussian_scale": 1e308}),
 ])
 def test_bad_config_exits_2_without_traceback(workdir, command, cfg):
     path = workdir / "bad.json"
@@ -428,6 +434,126 @@ def test_any_config_exits_0_1_or_2(command):
         assert code in (0, 1, 2)
         if junk:
             assert code == 2 and err.getvalue().startswith("error: junk_key: ")
+
+    check()
+
+
+def _run(command, cfg, out):
+    """Exit code and stderr of `command` run in-process on config `cfg`."""
+    path = Path(out) / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main([command, "--config", str(path), "--out", str(out)])
+    return code, err.getvalue()
+
+
+@pytest.mark.parametrize("command, cfg, key", [
+    *[(command, {**BASE_CONFIGS[command], "gaussian_scale": 1e308}, "gaussian_scale")
+      for command in sorted(CONFIGS)],
+    ("sweep", {**BASE_CONFIGS["sweep"], "train_p_flip": 0.2, "gaussian_scale": 1e308},
+     "gaussian_scale"),
+    ("cdm-sample", {**BASE_CONFIGS["cdm-sample"], "T": 1.0, "dt": 0.3}, "T/dt"),
+    ("cdm-sample", {**BASE_CONFIGS["cdm-sample"], "T": -1.0}, "T/dt"),
+    ("cdm-sample", {**BASE_CONFIGS["cdm-sample"], "dt": 0}, "T/dt"),
+])
+def test_config_error_names_its_key(workdir, command, cfg, key):
+    code, err = _run(command, cfg, workdir)
+    assert code == 2 and err.startswith(f"error: {key}: "), err
+
+
+MODEL_DOC = json.loads(model_to_json(make_pflip_model(
+    ModelGenSpec(topology=TreeTopology(**TOPO), p_flip=0.3, seed=3))))
+
+
+def _paths(value, path=()):
+    """Every path into a JSON document (a tuple of keys and indices)."""
+    yield path
+    items = value.items() if isinstance(value, dict) else \
+        enumerate(value) if isinstance(value, list) else ()
+    for key, v in items:
+        yield from _paths(v, path + (key,))
+
+
+def _at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+def _with(path, value):
+    """MODEL_DOC with the entry at `path` replaced by `value`."""
+    doc = copy.deepcopy(MODEL_DOC)
+    _at(doc, path[:-1])[path[-1]] = value
+    return doc
+
+
+def _is_number(v):
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _may_be_well_formed(path, v):
+    """Whether `v` could be read at `path`: an object for metadata, else a
+    number or a flat list of numbers (other values are a wrong type)."""
+    if path == ("metadata",):
+        return isinstance(v, dict)
+    return _is_number(v) or isinstance(v, list) and all(map(_is_number, v))
+
+
+def _mutations(path):
+    """(document, expected exit code) pairs that change the entry at `path`.
+
+    A value of another JSON type exits 2. So does another shape: a list
+    one entry shorter or longer, nested once more, or emptied. So does
+    another number in the schema version or the topology. Another number in
+    the prior or a kernel is well-formed but moves a total off 1, so it
+    exits 1, unless it is an integer no float holds (exit 2)."""
+    old = _at(MODEL_DOC, path)
+    cases = [JSON_VALUES.filter(lambda v: not _may_be_well_formed(path, v))
+             .map(lambda v: (_with(path, v), 2))]
+    if isinstance(old, list):
+        cases.append(st.sampled_from([old[:-1], old + old[-1:], [old], []])
+                     .map(lambda v: (_with(path, v), 2)))
+    numbers = st.floats() | st.integers(-2**1100, 2**1100)
+    if _is_number(old) and path[0] in ("root_prior", "kernels_im", "kernels_tx"):
+        cases.append(numbers.filter(lambda v: abs(v) > 10**6 or not abs(v - old) <= 1e-9).map(
+            lambda v: (_with(path, v), 2 if abs(v) > sys.float_info.max and isinstance(v, int)
+                       else 1)))
+    elif _is_number(old):
+        cases.append(numbers.filter(lambda v: not (type(v) is int and v == old))
+                     .map(lambda v: (_with(path, v), 2)))
+    return st.one_of(cases)
+
+
+# metadata's content is free, so only its own type is redrawn
+MODEL_PATHS = [p for p in _paths(MODEL_DOC) if p and (p[0] != "metadata" or len(p) == 1)]
+
+
+def test_model_file_exits_2_for_a_wrong_type_or_shape_and_1_for_a_bad_value():
+    """Any JSON value in any field of a model file ends in exit 2 for a
+    wrong type or shape and exit 1 for a well-formed prior or kernel that
+    breaks a value invariant, always with a named error, never an exception."""
+    def run(doc):
+        with tempfile.TemporaryDirectory() as out:
+            path = Path(out) / "model.json"
+            path.write_text(json.dumps(doc))
+            return _run("export-dataset", {"model_path": str(path), "n": 1}, out)
+
+    assert run(MODEL_DOC) == (0, "")
+    for doc in ({**MODEL_DOC, "kernels_im": {}}, {**MODEL_DOC, "kernels_im": "ab"},
+                {**MODEL_DOC, "root_prior": [MODEL_DOC["root_prior"]]},
+                {**MODEL_DOC, "kernels_tx": MODEL_DOC["kernels_tx"][:1]},
+                {**MODEL_DOC, "schema_version": True}, {**MODEL_DOC, "schema_version": 1.0},
+                {**MODEL_DOC, "metadata": []}):
+        code, err = run(doc)
+        assert code == 2 and err.startswith("error: model_path: "), (doc, err)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(case=st.sampled_from(MODEL_PATHS).flatmap(_mutations))
+    def check(case):
+        doc, expected = case
+        code, err = run(doc)
+        assert code == expected and err.startswith("error: "), (doc, err)
 
     check()
 

@@ -24,9 +24,9 @@ from jghm.metrics import CHUNK, RiskReport, zsc_infinite_sample_predict
 from jghm.model import ModelError, ModelGenSpec, make_pflip_model
 from jghm.oracle import (
     exact_denoiser,
-    exact_mutual_information,
     exact_next_token,
     exact_suff_score,
+    mi_from_joint,
     next_token_from_weights,
     score_matrix,
 )
@@ -88,7 +88,7 @@ class TestClipRisk:
         assert excess.estimate == 0.0 and excess.se == 0.0
 
     def test_mi_limit_convergence(self, ref_model, ref_table):
-        mi = exact_mutual_information(ref_table)
+        mi = mi_from_joint(ref_table.joint)
         reports = clip_excess_and_mi_limit(ref_model, constant_score(), [2, 8, 32, 128], 20_000, seed=5)
         mi_reports = [r for r in reports if r.name == "mi_limit"]
         ests = [r.estimate for r in mi_reports]
@@ -98,7 +98,7 @@ class TestClipRisk:
         assert abs(ests[-1] - mi) <= max(0.02, 4 * ses[-1])
 
     def test_excess_tracks_sufficiency(self, ref_model, ref_table):
-        suff = exact_suff_score(ref_model, coarsened_score(ref_model), ref_table)
+        suff = exact_suff_score(ref_table, coarsened_score(ref_model))
         reports = clip_excess_and_mi_limit(
             ref_model, coarsened_score(ref_model), [8, 32, 128], 20_000, seed=6
         )
@@ -128,7 +128,7 @@ class TestZsc:
         score = exact_score(zsc_model)
         draws = sample_joint_batch(zsc_model, 3, stream(10, "zsclim"))
         for k in range(3):
-            lim = zsc_infinite_sample_predict(zsc_model, score, draws.x_im[k], zsc_table)
+            lim = zsc_infinite_sample_predict(zsc_table, score, draws.x_im[k])
             mc = zsc_predict(zsc_model, score, draws.x_im[k], 4096, stream(11, "zsclim", k))
             assert 0.5 * np.abs(lim - mc).sum() <= 1e-2
 
@@ -143,7 +143,7 @@ class TestZsc:
 
     def test_lossy_score_bounded_by_sufficiency(self, zsc_model, zsc_table):
         score = coarsened_score(zsc_model)
-        suff = exact_suff_score(zsc_model, score, zsc_table)
+        suff = exact_suff_score(zsc_table, score)
         r = zsc_kl_sweep(zsc_model, score, [4096], 600, seed=14)[0]
         assert r.estimate <= suff + 0.02
 
@@ -160,20 +160,20 @@ class TestZsc:
 
 class TestCdm:
     def test_exact_encoder_zero_error(self, ref_model, ref_table):
-        r = cdm_estimation_error(ref_model, canonical_encoder(ref_model, "tx"), t=1.0,
-                                 n=2_000, seed=15, table=ref_table)
+        r = cdm_estimation_error(ref_model, ref_table, canonical_encoder(ref_model, "tx"), t=1.0,
+                                 n=2_000, seed=15)
         assert r.estimate <= 4 * r.se + 1e-12
 
     def test_coarsened_encoder_within_bound(self, ref_model, ref_table):
-        r = cdm_estimation_error(ref_model, coarsened_root_encoder(ref_model, "tx"), t=1.0,
-                                 n=4_000, seed=16, table=ref_table)
+        r = cdm_estimation_error(ref_model, ref_table, coarsened_root_encoder(ref_model, "tx"), t=1.0,
+                                 n=4_000, seed=16)
         assert r.metadata["suff"] > 0
         assert r.estimate <= r.metadata["bound"] + 4 * r.se
 
     def test_constant_encoder_against_oracle_route(self, ref_model, ref_table):
         """Same functional, two routes: message passing vs pure enumeration."""
-        r = cdm_estimation_error(ref_model, constant_encoder(ref_model, "tx"), t=1.0,
-                                 n=4_000, seed=17, table=ref_table)
+        r = cdm_estimation_error(ref_model, ref_table, constant_encoder(ref_model, "tx"), t=1.0,
+                                 n=4_000, seed=17)
         x_all = ref_table.tuples_im.astype(float)
         rng = stream(18, "cdm-oracle")
         n = 4_000
@@ -182,7 +182,7 @@ class TestCdm:
         g = rng.standard_normal((n, 4))
         z = draws.x_im + g  # t = 1
         for k in range(n):
-            m_star = exact_denoiser(ref_model, z[k], 1.0, draws.x_tx[k], ref_table)
+            m_star = exact_denoiser(ref_table, z[k], 1.0, draws.x_tx[k])
             logw = np.log(ref_table.p_im) - np.sum((z[k] - x_all) ** 2, axis=1) / 2.0
             w = np.exp(logw - logw.max())
             w /= w.sum()
@@ -191,31 +191,31 @@ class TestCdm:
         assert abs(r.estimate - errs.mean()) <= 4 * (r.se + se)
 
     def test_permutation_model_exact_encoder_zero_error(self, perm_model, perm_table):
-        r = cdm_estimation_error(perm_model, canonical_encoder(perm_model, "tx"), t=1.0,
-                                 n=500, seed=19, table=perm_table)
+        r = cdm_estimation_error(perm_model, perm_table, canonical_encoder(perm_model, "tx"), t=1.0,
+                                 n=500, seed=19)
         assert r.estimate == 0.0 and r.metadata["suff"] == 0.0
 
 
 class TestVlm:
     def test_exact_encoder_zero(self, ref_model, ref_table):
-        r = vlm_divergence(ref_model, canonical_encoder(ref_model, "im"), ref_table)
+        r = vlm_divergence(ref_table, canonical_encoder(ref_model, "im"))
         assert 0 <= r.estimate <= 1e-9
 
     def test_divergence_equals_sufficiency(self, ref_model, ref_table):
         for enc in (coarsened_root_encoder(ref_model, "im"), constant_encoder(ref_model, "im")):
-            r = vlm_divergence(ref_model, enc, ref_table)
+            r = vlm_divergence(ref_table, enc)
             assert r.estimate <= r.metadata["suff"] + 1e-9
             assert r.estimate == pytest.approx(r.metadata["suff"], abs=1e-9)
 
     def test_permutation_model_divergence_equals_sufficiency(self, perm_model, perm_table):
         for enc in (canonical_encoder(perm_model, "im"), coarsened_root_encoder(perm_model, "im"),
                     constant_encoder(perm_model, "im")):
-            r = vlm_divergence(perm_model, enc, perm_table)
+            r = vlm_divergence(perm_table, enc)
             assert r.estimate == pytest.approx(r.metadata["suff"], abs=1e-12)
         assert r.estimate == pytest.approx(np.log(3), abs=1e-12)
 
     def test_constant_encoder_against_direct_enumeration(self, ref_model, ref_table):
-        r = vlm_divergence(ref_model, constant_encoder(ref_model, "im"), ref_table)
+        r = vlm_divergence(ref_table, constant_encoder(ref_model, "im"))
         total = 0.0
         for i in range(len(ref_table.p_im)):
             if ref_table.p_im[i] == 0:
@@ -226,7 +226,7 @@ class TestVlm:
                     continue
                 x_tx = ref_table.tuples_tx[j]
                 for pos in range(4):
-                    mu_true = exact_next_token(ref_model, x_im, x_tx[:pos], ref_table)
+                    mu_true = exact_next_token(ref_table, x_im, x_tx[:pos])
                     mu_hat = next_token_from_weights(ref_table, ref_table.p_tx, x_tx[:pos])
                     tok = x_tx[pos] - 1
                     total += ref_table.joint[i, j] * (np.log(mu_true[tok]) - np.log(mu_hat[tok]))

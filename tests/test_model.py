@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from jghm.bp import root_posterior
+from jghm.encoders import exact_score
 from jghm.model import (
     JghmModel,
     ModelError,
@@ -18,6 +20,9 @@ from jghm.model import (
     model_to_json,
     validate_model,
 )
+from jghm.oracle import exact_conditional_root
+from jghm.rng import stream
+from jghm.sampler import sample_marginal_leaves
 
 
 def topo(depth=2, m_im=(2, 2), m_tx=(2, 2), S=3):
@@ -138,15 +143,15 @@ class TestValidateModel:
             validate_model(broken)
 
     def test_shape_mismatch_rejected(self):
+        # shapes are checked when the model is built, before validate_model
         m = uniform_model()
-        broken = JghmModel(
-            topology=m.topology,
-            root_prior=m.root_prior,
-            kernels_im=(m.kernels_im[0],),
-            kernels_tx=m.kernels_tx,
-        )
         with pytest.raises(ModelError, match="levels"):
-            validate_model(broken)
+            JghmModel(
+                topology=m.topology,
+                root_prior=m.root_prior,
+                kernels_im=(m.kernels_im[0],),
+                kernels_tx=m.kernels_tx,
+            )
 
 
 class TestPflipFamily:
@@ -303,3 +308,23 @@ def test_kernel_shape_rejected_at_construction():
     with pytest.raises(ModelError, match="kernel shape"):
         JghmModel(topology=m.topology, root_prior=m.root_prior,
                   kernels_im=((np.eye(2), np.eye(2)), m.kernels_im[1]), kernels_tx=m.kernels_tx)
+
+
+@pytest.mark.parametrize("modality", ["image", "IM", "", None])
+@pytest.mark.parametrize("call", [
+    lambda model, table, modality: model.topology.branching(modality),
+    lambda model, table, modality: model.kernels(modality),
+    lambda model, table, modality: model.plan(modality),
+    lambda model, table, modality: table.cond(modality),
+    lambda model, table, modality: table.tuples(modality),
+    lambda model, table, modality: root_posterior(model, modality, np.ones(4, dtype=int)),
+    lambda model, table, modality: exact_conditional_root(table, modality, np.ones(4, dtype=int)),
+    lambda model, table, modality: sample_marginal_leaves(model, modality, 2, stream(0, "m")),
+    lambda model, table, modality: exact_score(model).features(modality, np.ones(4, dtype=int)),
+    lambda model, table, modality: ModelGenSpec(model.topology, 0.2, 0).mixing(modality),
+], ids=["branching", "kernels", "plan", "cond", "tuples", "root_posterior",
+        "exact_conditional_root", "sample_marginal_leaves", "score_features", "mixing"])
+def test_unknown_modality_raises(ref_model, ref_table, call, modality):
+    """A modality other than "im" or "tx" is an error, never the text tree."""
+    with pytest.raises(ModelError, match="modality must be 'im' or 'tx'"):
+        call(ref_model, ref_table, modality)

@@ -1,6 +1,11 @@
+import importlib
+import inspect
+import pkgutil
+
 import numpy as np
 import pytest
 
+import jghm
 from jghm import sample_joint_batch, stream
 from jghm.encoders import (
     canonical_encoder,
@@ -18,7 +23,6 @@ from jghm.oracle import (
     exact_conditional_root,
     exact_denoiser,
     exact_mi_encoder,
-    exact_mutual_information,
     exact_next_token,
     exact_suff_encoder,
     exact_suff_score,
@@ -87,14 +91,14 @@ class TestConditionalRoot:
 
 class TestMutualInformation:
     def test_permutation_equals_log_s(self, perm_table):
-        assert exact_mutual_information(perm_table) == pytest.approx(np.log(3), abs=1e-12)
+        assert mi_from_joint(perm_table.joint) == pytest.approx(np.log(3), abs=1e-12)
 
     def test_constant_kernels_independent(self):
         table = enumerate_joint(uniform_model())
-        assert exact_mutual_information(table) == pytest.approx(0.0, abs=1e-12)
+        assert mi_from_joint(table.joint) == pytest.approx(0.0, abs=1e-12)
 
     def test_monte_carlo_score_average(self, ref_model, ref_table):
-        mi = exact_mutual_information(ref_table)
+        mi = mi_from_joint(ref_table.joint)
         n = 40_000
         draws = sample_joint_batch(ref_model, n, stream(3, "miavg"))
         scores = exact_score(ref_model)(draws.x_im, draws.x_tx)
@@ -105,26 +109,26 @@ class TestMutualInformation:
 class TestSufficiency:
     def test_exact_encoder_sufficient(self, ref_model, ref_table):
         for modality in ("im", "tx"):
-            suff = exact_suff_encoder(ref_model, canonical_encoder(ref_model, modality), modality, ref_table)
+            suff = exact_suff_encoder(ref_table, canonical_encoder(ref_model, modality), modality)
             assert 0 <= suff <= 1e-9
 
     def test_constant_encoder_loses_everything(self, ref_model, ref_table):
-        mi = exact_mutual_information(ref_table)
-        suff = exact_suff_encoder(ref_model, constant_encoder(ref_model, "im"), "im", ref_table)
+        mi = mi_from_joint(ref_table.joint)
+        suff = exact_suff_encoder(ref_table, constant_encoder(ref_model, "im"), "im")
         assert suff == pytest.approx(mi, abs=1e-9)
 
     def test_coarsened_encoder_strictly_between(self, ref_model, ref_table):
-        mi = exact_mutual_information(ref_table)
-        suff = exact_suff_encoder(ref_model, coarsened_root_encoder(ref_model, "im"), "im", ref_table)
+        mi = mi_from_joint(ref_table.joint)
+        suff = exact_suff_encoder(ref_table, coarsened_root_encoder(ref_model, "im"), "im")
         assert 0 < suff <= mi
 
     def test_prefix_encoder_strictly_between(self, ref_model, ref_table):
-        mi = exact_mutual_information(ref_table)
-        suff = exact_suff_encoder(ref_model, prefix_text_encoder(ref_model), "tx", ref_table)
+        mi = mi_from_joint(ref_table.joint)
+        suff = exact_suff_encoder(ref_table, prefix_text_encoder(ref_model), "tx")
         assert 0 < suff <= mi
 
     def test_information_loss_identity(self, ref_model, ref_table):
-        mi = exact_mutual_information(ref_table)
+        mi = mi_from_joint(ref_table.joint)
         encoders = {
             "im": [canonical_encoder(ref_model, "im"), coarsened_root_encoder(ref_model, "im"),
                    constant_encoder(ref_model, "im")],
@@ -133,41 +137,41 @@ class TestSufficiency:
         }
         for modality, encs in encoders.items():
             for enc in encs:
-                suff = exact_suff_encoder(ref_model, enc, modality, ref_table)
-                mi_enc = exact_mi_encoder(ref_model, enc, modality, ref_table)
+                suff = exact_suff_encoder(ref_table, enc, modality)
+                mi_enc = exact_mi_encoder(ref_table, enc, modality)
                 assert suff == pytest.approx(mi - mi_enc, abs=1e-9)
 
     def test_data_processing_under_further_coarsening(self, ref_model, ref_table):
         fine = coarsened_root_encoder(ref_model, "im", precision=2)
         coarse = coarsened_root_encoder(ref_model, "im", precision=1)
         cruder = coarsened_root_encoder(ref_model, "im", precision=0)
-        s_fine = exact_suff_encoder(ref_model, fine, "im", ref_table)
-        s_coarse = exact_suff_encoder(ref_model, coarse, "im", ref_table)
-        s_cruder = exact_suff_encoder(ref_model, cruder, "im", ref_table)
+        s_fine = exact_suff_encoder(ref_table, fine, "im")
+        s_coarse = exact_suff_encoder(ref_table, coarse, "im")
+        s_cruder = exact_suff_encoder(ref_table, cruder, "im")
         assert s_fine <= s_coarse <= s_cruder
 
     def test_permutation_model_exact_values(self, perm_model, perm_table):
         # 78 of the 81 leaf tuples per modality have zero mass and are never encoded
-        mi = exact_mutual_information(perm_table)
+        mi = mi_from_joint(perm_table.joint)
         assert mi == pytest.approx(np.log(3), abs=1e-12)
         for modality in ("im", "tx"):
             canonical = canonical_encoder(perm_model, modality)
             constant = constant_encoder(perm_model, modality)
-            assert exact_suff_encoder(perm_model, canonical, modality, perm_table) == 0.0
-            assert exact_suff_encoder(perm_model, constant, modality, perm_table) == mi
+            assert exact_suff_encoder(perm_table, canonical, modality) == 0.0
+            assert exact_suff_encoder(perm_table, constant, modality) == mi
 
 
 class TestScoreSufficiency:
     def test_optimal_score_zero(self, ref_model, ref_table):
-        suff = exact_suff_score(ref_model, exact_score(ref_model), ref_table)
+        suff = exact_suff_score(ref_table, exact_score(ref_model))
         assert 0 <= suff <= 1e-9
 
     def test_permutation_model_optimal_score_zero(self, perm_model, perm_table):
-        assert exact_suff_score(perm_model, exact_score(perm_model), perm_table) == 0.0
+        assert exact_suff_score(perm_table, exact_score(perm_model)) == 0.0
 
     def test_constant_score_double_mi(self, ref_model, ref_table):
-        mi = exact_mutual_information(ref_table)
-        suff = exact_suff_score(ref_model, constant_score(), ref_table)
+        mi = mi_from_joint(ref_table.joint)
+        suff = exact_suff_score(ref_table, constant_score())
         assert suff == pytest.approx(2 * mi, abs=1e-9)
 
     def test_perturbed_score_positive(self, ref_model, ref_table):
@@ -180,7 +184,7 @@ class TestScoreSufficiency:
                 wiggle = 0.3 * np.sin(np.asarray(x_im).sum(axis=-1).astype(float))
                 return base(x_im, x_tx) + wiggle
 
-        suff = exact_suff_score(ref_model, Jittered(), ref_table)
+        suff = exact_suff_score(ref_table, Jittered())
         assert suff > 1e-4
 
 
@@ -189,14 +193,14 @@ class TestExactDenoiser:
         draws = sample_joint_batch(perm_model, 3, stream(4, "ed"))
         for k in range(3):
             z = np.array([0.3, -1.0, 2.2, 0.0])
-            out = exact_denoiser(perm_model, z, 1.0, draws.x_tx[k], perm_table)
+            out = exact_denoiser(perm_table, z, 1.0, draws.x_tx[k])
             assert np.allclose(out, draws.x_im[k], atol=1e-12)
 
     def test_output_range(self, ref_model, ref_table):
         rng = stream(5, "ed2")
         s = sample_joint_batch(ref_model, 1, rng)
         z = rng.standard_normal(4)
-        out = exact_denoiser(ref_model, z, 0.8, s.x_tx[0], ref_table)
+        out = exact_denoiser(ref_table, z, 0.8, s.x_tx[0])
         assert np.all((out >= 1) & (out <= 3))
 
 
@@ -204,7 +208,7 @@ class TestExactNextToken:
     def test_sums_to_one(self, ref_model, ref_table):
         s = sample_joint_batch(ref_model, 1, stream(6, "nt"))
         for i in range(4):
-            post = exact_next_token(ref_model, s.x_im[0], s.x_tx[0][:i], ref_table)
+            post = exact_next_token(ref_table, s.x_im[0], s.x_tx[0][:i])
             assert post.sum() == pytest.approx(1.0)
 
 
@@ -221,3 +225,23 @@ class TestInfoHelpers:
         joint = np.array([[0.25, 0.25], [0.25, 0.25]])
         assert mi_from_joint(joint) == 0.0
 
+
+
+def test_only_enumerate_joint_takes_a_budget():
+    """Every exact quantity reads a JointTable: across the public names of
+    each module, only enumerate_joint takes a budget, and no table parameter
+    has a default that would enumerate in its place."""
+    budgets, defaulted = [], []
+    for info in pkgutil.iter_modules(jghm.__path__):
+        module = importlib.import_module(f"jghm.{info.name}")
+        for name in getattr(module, "__all__", []):
+            obj = getattr(module, name)
+            if not inspect.isfunction(obj):
+                continue
+            params = inspect.signature(obj).parameters
+            if "budget" in params:
+                budgets.append(f"{info.name}.{name}")
+            if "table" in params and params["table"].default is not inspect.Parameter.empty:
+                defaulted.append(f"{info.name}.{name}")
+    assert budgets == ["oracle.enumerate_joint"]
+    assert defaulted == []

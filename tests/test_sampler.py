@@ -190,6 +190,6 @@ class TestTextForClass:
 
     def test_out_of_range_class(self, ref_model):
         with pytest.raises(ModelError):
-            sample_text_for_class(ref_model, 4, stream(5, "bad"))
+            sample_text_for_class(ref_model, 4, stream(5, "bad"), size=1)
         with pytest.raises(ModelError):
-            sample_text_for_class(ref_model, 0, stream(5, "bad"))
+            sample_text_for_class(ref_model, 0, stream(5, "bad"), size=1)
