@@ -10,8 +10,10 @@ from .model import (
     TreeTopology,
     leaf_index,
     make_pflip_model,
+    mix_pflip,
     model_from_json,
     model_to_json,
+    pflip_draws,
     topology_from_json,
     validate_model,
 )

@@ -49,8 +49,10 @@ from .model import (
     ModelError,
     ModelGenSpec,
     make_pflip_model,
+    mix_pflip,
     model_from_json,
     model_to_json,
+    pflip_draws,
     topology_from_json,
     validate_model,
 )
@@ -204,27 +206,33 @@ def _config(args) -> dict:
     return c
 
 
-def _generated_model(c, p_flip) -> JghmModel:
-    """The model generated at p_flip. Its ModelError, a gaussian_scale that
-    overflows the kernel draws, is a config error."""
+def _generator(c):
+    """p_flip -> the model generated at that p_flip. The kernel draws are
+    made here, once: every model a run builds is mixed from them, on any
+    thread. A gaussian_scale that overflows them is a config error."""
     if c["topology"] is None:
         raise ConfigError("topology: missing; a generated model needs it")
-    spec = ModelGenSpec(topology=c["topology"], p_flip=p_flip, seed=c["model_seed"],
-                        gaussian_scale=c["gaussian_scale"], p_flip_im=c["p_flip_im"],
-                        p_flip_tx=c["p_flip_tx"])
+
+    def spec(p_flip):
+        return ModelGenSpec(topology=c["topology"], p_flip=p_flip, seed=c["model_seed"],
+                            gaussian_scale=c["gaussian_scale"], p_flip_im=c["p_flip_im"],
+                            p_flip_tx=c["p_flip_tx"])
+
     try:
-        return make_pflip_model(spec)
+        draws = pflip_draws(spec(0.0))
     except ModelError as e:
         raise ConfigError(str(e)) from e
+    return lambda p_flip: mix_pflip(draws, spec(p_flip))
 
 
-def _resolve_model(c) -> JghmModel:
-    """The model_path model, validated, or else the model generated at p_flip."""
+def _resolve_model(c, generate=None) -> JghmModel:
+    """The model_path model, validated, or else the model generated at
+    p_flip (by `generate`, when the run has one)."""
     model = c["model_path"]
     if model is None:
         if c["p_flip"] is None:
             raise ConfigError("p_flip: missing; give it (with topology) or model_path")
-        return _generated_model(c, c["p_flip"])
+        return (generate or _generator(c))(c["p_flip"])
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         validate_model(model)  # corrupted files fail with the named invariant
@@ -251,7 +259,7 @@ def _write_reports(path: Path, reports, c):
 
 def cmd_gen_model(args) -> int:
     c = _config(args)
-    model = _generated_model(c, c["p_flip"])
+    model = _generator(c)(c["p_flip"])
     b_psi = validate_model(model)
     out = Path(args.out or ".") / "model.json"
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -265,12 +273,11 @@ def cmd_sweep(args) -> int:
     c = _config(args)
     threads = _read("--threads", _count, args.threads)
     kwargs = {"n": c["n"], "seed": c["seed"], "K": c["K"], "t": c["t"]}
-    train_model = None
-    if c["train_p_flip"] is not None:
-        train_model = _generated_model(c, c["train_p_flip"])
+    generate = _generator(c)
+    train_model = None if c["train_p_flip"] is None else generate(c["train_p_flip"])
 
     def run_point(p):
-        test_model = _generated_model(c, p)
+        test_model = generate(p)
         if train_model is None:
             return [misspec_bp_eval(test_model, test_model, c["task"], **kwargs).bayes]
         res = misspec_bp_eval(train_model, test_model, c["task"], **kwargs)
@@ -300,7 +307,9 @@ def cmd_cdm_sample(args) -> int:
         sde = SdeConfig(horizon=c["T"], dt=c["dt"], n_paths=c["n_paths"], seed=c["seed"])
     except ModelError as e:
         raise ConfigError(f"T/dt: {e}") from e
-    model = _resolve_model(c)
+    # a drift model shares the test model's draws when both are generated
+    generate = None if c["train_p_flip"] is None else _generator(c)
+    model = _resolve_model(c, generate)
     d_tx, S = model.topology.d_tx, model.n_states
     if c["text"] is None:
         x_tx = sample_joint(model, stream(c["seed"], "cdm-sample-text")).x_tx
@@ -308,9 +317,7 @@ def cmd_cdm_sample(args) -> int:
         raise ConfigError(f"text: must be a list of {d_tx} states in [1, {S}], got {c['text']}")
     else:
         x_tx = np.asarray(c["text"], dtype=np.int64)
-    drift_model = None
-    if c["train_p_flip"] is not None:
-        drift_model = _generated_model(c, c["train_p_flip"])
+    drift_model = None if generate is None else generate(c["train_p_flip"])
     counts, cond = sampled_law(model, x_tx, sde, drift_model=drift_model)
     out_dir = Path(args.out or ".")
     _write_reports(out_dir / "cdm_sample.csv", [law_distance(counts, cond, sde, drift_model)], c)

@@ -29,6 +29,9 @@ __all__ = [
     "leaf_index",
     "validate_kernel",
     "validate_model",
+    "PflipDraws",
+    "pflip_draws",
+    "mix_pflip",
     "make_pflip_model",
     "model_to_json",
     "model_from_json",
@@ -198,7 +201,8 @@ def _tree_plan(levels, S: int) -> TreePlan:
     cum, down, up, columns = [], [], [], []
     for level in levels:
         m = len(level)
-        cum.append(_frozen(np.cumsum(np.stack(level), axis=2)))
+        with np.errstate(over="ignore"):  # entries near the float max; validate_model names them
+            cum.append(_frozen(np.cumsum(np.stack(level), axis=2)))
         d, u = np.zeros((m * S, m * S)), np.zeros((m * S, m * S))
         for j, kernel in enumerate(level):
             d[j * S:(j + 1) * S, j * S:(j + 1) * S] = kernel.T
@@ -236,7 +240,8 @@ class JghmModel:
         if prior.shape != (S,):
             raise ModelError(f"root_prior shape {prior.shape} != ({S},)")
         object.__setattr__(self, "root_prior", prior)
-        object.__setattr__(self, "root_cum", _frozen(np.cumsum(prior)))
+        with np.errstate(over="ignore"):  # as in _tree_plan
+            object.__setattr__(self, "root_cum", _frozen(np.cumsum(prior)))
         for modality in MODALITIES:
             name = f"kernels_{modality}"
             given = getattr(self, name)
@@ -323,8 +328,11 @@ class ModelGenSpec:
 
     Each kernel is (1 - p_flip) * P + p_flip * softmax_rows(G) where P is a
     uniformly random permutation matrix and G has iid N(0, gaussian_scale^2)
-    entries. P and G depend only on (seed, modality, level, rank), so a
-    p_flip sweep with a fixed seed varies only the mixing weight.
+    entries. Generation has two steps: `pflip_draws` draws P and
+    softmax_rows(G) per (modality, level, rank) from (topology, seed,
+    gaussian_scale) alone, and `mix_pflip` mixes one model per p_flip from
+    them. Models that differ only in p_flip can therefore share one set of
+    draws and vary only the mixing weight.
 
     The mixing weight may differ per tree (p_flip_im / p_flip_tx override
     p_flip), e.g. to make one modality near-deterministic.
@@ -355,35 +363,71 @@ def _softmax_rows(g: np.ndarray) -> np.ndarray:
     return z / z.sum(axis=1, keepdims=True)
 
 
-def _pflip_kernel(spec: ModelGenSpec, modality: str, level: int, rank: int) -> np.ndarray:
+def _kernel_draws(spec: ModelGenSpec, modality: str, level: int, rank: int):
+    """(P, softmax_rows(G)) of one kernel, from its own stream."""
     S = spec.topology.n_states
-    p = spec.mixing(modality)
     rng = stream(spec.seed, "pflip-kernel", modality, level, rank)
     perm = rng.permutation(S)
     g = rng.standard_normal((S, S)) * spec.gaussian_scale
     pi = np.zeros((S, S))
     pi[np.arange(S), perm] = 1.0
-    return (1.0 - p) * pi + p * _softmax_rows(g)
+    return _frozen(pi), _frozen(_softmax_rows(g))
 
 
-def make_pflip_model(spec: ModelGenSpec) -> JghmModel:
-    """Generate the deterministic kernel-family model for a spec.
-
-    Pure function of the spec: equal specs produce bit-identical models.
-    The root prior is uniform. A gaussian_scale whose draws overflow to
-    non-finite kernel entries raises ModelError.
+@dataclass(frozen=True)
+class PflipDraws:
+    """The random part of the kernel family for one (topology, seed,
+    gaussian_scale): ``draws_im[l][i]`` is the pair (P, softmax_rows(G)) of
+    the rank-(i+1) kernel at level l+1 of the image tree (likewise
+    ``draws_tx``). Every array is frozen, so threads may mix models from one
+    instance concurrently.
     """
-    topo = spec.topology
-    S = topo.n_states
-    kernels = {}
+
+    topology: TreeTopology
+    seed: int
+    gaussian_scale: float
+    draws_im: tuple
+    draws_tx: tuple
+
+    def levels(self, modality: str) -> tuple:
+        return by_modality(modality, self.draws_im, self.draws_tx)
+
+
+def pflip_draws(spec: ModelGenSpec) -> PflipDraws:
+    """Draw P and softmax_rows(G) for every kernel of the spec's topology.
+
+    A function of (topology, seed, gaussian_scale) alone: the spec's mixing
+    weights are not read. A gaussian_scale whose draws overflow to
+    non-finite entries raises ModelError.
+    """
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is caught below
-        for modality in MODALITIES:
-            kernels[modality] = tuple(
-                tuple(_pflip_kernel(spec, modality, level, rank) for rank in range(1, m + 1))
-                for level, m in enumerate(topo.branching(modality), start=1))
-    if not all(np.isfinite(k).all() for levels in kernels.values() for level in levels
-               for k in level):
+        trees = [tuple(tuple(_kernel_draws(spec, modality, level, rank) for rank in range(1, m + 1))
+                       for level, m in enumerate(spec.topology.branching(modality), start=1))
+                 for modality in MODALITIES]
+    # a finite softmax row stays finite in every mix; a nan stays nan even at p = 0
+    if not all(np.isfinite(soft).all() for levels in trees for level in levels
+               for _, soft in level):
         raise ModelError(f"gaussian_scale: {spec.gaussian_scale!r} overflows the kernel draws")
+    return PflipDraws(spec.topology, spec.seed, spec.gaussian_scale, *trees)
+
+
+def mix_pflip(draws: PflipDraws, spec: ModelGenSpec) -> JghmModel:
+    """The spec's model, each kernel mixed (1 - p) * P + p * softmax_rows(G)
+    from `draws`. Draws made for another topology, seed or gaussian_scale
+    raise ModelError.
+
+    Equal specs produce bit-identical models, whether each is mixed from
+    draws of its own or all share one set. The root prior is uniform.
+    """
+    wrong = [name for name in ("topology", "seed", "gaussian_scale")
+             if getattr(draws, name) != getattr(spec, name)]
+    if wrong:
+        raise ModelError(f"the draws were made for another {' and '.join(wrong)} than the spec")
+    kernels = {}
+    for modality in MODALITIES:
+        p = spec.mixing(modality)
+        kernels[modality] = tuple(tuple((1.0 - p) * pi + p * soft for pi, soft in level)
+                                  for level in draws.levels(modality))
     metadata = {
         "family": "pflip",
         "p_flip": float(spec.p_flip),
@@ -394,13 +438,21 @@ def make_pflip_model(spec: ModelGenSpec) -> JghmModel:
         metadata["p_flip_im"] = float(spec.p_flip_im)
     if spec.p_flip_tx is not None:
         metadata["p_flip_tx"] = float(spec.p_flip_tx)
+    S = spec.topology.n_states
     return JghmModel(
-        topology=topo,
+        topology=spec.topology,
         root_prior=np.full(S, 1.0 / S),
         kernels_im=kernels["im"],
         kernels_tx=kernels["tx"],
         metadata=metadata,
     )
+
+
+def make_pflip_model(spec: ModelGenSpec) -> JghmModel:
+    """Generate the deterministic kernel-family model for a spec: its own
+    draws, mixed. A gaussian_scale that overflows the draws raises
+    ModelError."""
+    return mix_pflip(pflip_draws(spec), spec)
 
 
 def model_to_json(model: JghmModel) -> str:

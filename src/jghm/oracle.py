@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import JghmModel, by_modality
+from .model import JghmModel, ModelError, by_modality
 
 __all__ = [
     "DEFAULT_BUDGET",
@@ -107,7 +107,14 @@ class JointTable:
         return by_modality(modality, self.tuples_im, self.tuples_tx)
 
     def index(self, modality: str, leaves) -> np.ndarray:
-        return encode_leaves(leaves, self.n_states)
+        """Row of each leaf tuple (batch-aware) in this modality's tables; a
+        tuple of another length or a state outside [1, S] raises ModelError."""
+        leaves, d, S = np.asarray(leaves), self.tuples(modality).shape[1], self.n_states
+        wrong_shape = leaves.shape[-1:] != (d,)
+        if wrong_shape or leaves.size and not (leaves.min() >= 1 and leaves.max() <= S):
+            got = f"shape {leaves.shape}" if wrong_shape else f"states {leaves.min()}..{leaves.max()}"
+            raise ModelError(f"{modality} leaves must be tuples of {d} states in [1, {S}], got {got}")
+        return encode_leaves(leaves, S)
 
 
 def enumerate_joint(model: JghmModel, budget: int = DEFAULT_BUDGET) -> JointTable:

@@ -20,6 +20,7 @@ from hypothesis import given, settings, strategies as st
 import jghm
 from jghm import ModelGenSpec, TreeTopology, diffusion, make_pflip_model, misspec_bp_eval
 from jghm.model import model_to_json
+from jghm.rng import stream
 from jghm.cli import CONFIGS, REQUIRED, _config, build_parser, main
 
 TOPO = {"depth": 2, "m_im": [2, 2], "m_tx": [2, 2], "n_states": 3}
@@ -667,6 +668,62 @@ def test_cdm_sample_names_a_zero_mass_drift_text(workdir, capsys, monkeypatch):
     assert main(["cdm-sample", "--config", str(path), "--seed", "2", "--out", str(workdir)]) == 1
     assert capsys.readouterr().err == (
         "error: the drift (train) model gives the conditioning text zero probability\n")
+
+
+@pytest.fixture()
+def kernel_streams(monkeypatch):
+    """The purpose of every stream jghm.model opens, in order."""
+    opened = []
+
+    def counted(seed, *parts):
+        opened.append(parts[0])
+        return stream(seed, *parts)
+
+    monkeypatch.setattr(jghm.model, "stream", counted)
+    return opened
+
+
+def test_sweep_draws_its_kernels_once(workdir, kernel_streams):
+    """A large-scale sweep with a train model and 3 points opens one stream
+    per kernel (24), not one per kernel and model; --threads 8 mixes its
+    models from the same draws and writes the same bytes as --threads 1."""
+    path = workdir / "cfg.json"
+    path.write_text(json.dumps({**LARGE_SWEEP, "task": "clip", "p_flip_list": [0.1, 0.3, 0.5],
+                                "n": 8, "K": 2}))
+    for threads in ("1", "8"):
+        kernel_streams.clear()
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["sweep", "--threads", threads, "--config", str(path),
+                         "--out", str(workdir / f"t{threads}")]) == 0
+        assert kernel_streams == ["pflip-kernel"] * 24
+    assert (workdir / "t1/sweep.csv").read_bytes() == (workdir / "t8/sweep.csv").read_bytes()
+
+
+def test_cdm_sample_drift_model_shares_the_draws(workdir, kernel_streams):
+    """A generated test model and its train_p_flip model open one stream per
+    kernel between them (4 at depth 1 with two children a side)."""
+    path = workdir / "cfg.json"
+    path.write_text(json.dumps({**CDM, "train_p_flip": 0.2, "n_paths": 4, "T": 1.0, "dt": 0.5}))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["cdm-sample", "--config", str(path), "--out", str(workdir)]) == 0
+    assert kernel_streams == ["pflip-kernel"] * 4
+
+
+@pytest.mark.parametrize("field, value, message", [
+    (("kernels_im", 0, 0, 0), [1e308] * 3, "kernels_im[1][1]: kernel row sums to"),
+    (("root_prior",), [1e308] * 3, "root_prior sums to"),
+])
+def test_model_file_near_float_max_names_its_invariant_alone(workdir, field, value, message):
+    """Entries that overflow the model's cumulative tables print no numpy
+    warning before the named invariant: stderr is the error line alone."""
+    doc = copy.deepcopy(MODEL_DOC)
+    _at(doc, field[:-1])[field[-1]] = value
+    (workdir / "model.json").write_text(json.dumps(doc))
+    path = workdir / "cfg.json"
+    path.write_text(json.dumps({"model_path": str(workdir / "model.json"), "n": 2}))
+    r = run_cli("export-dataset", "--config", str(path), "--out", str(workdir / "o"))
+    assert r.returncode == 1
+    assert r.stderr.startswith(f"error: {message}") and r.stderr.count("\n") == 1, r.stderr
 
 
 def test_selftest_passes():

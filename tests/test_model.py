@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 
@@ -16,8 +17,10 @@ from jghm.model import (
     effective_b_psi,
     leaf_index,
     make_pflip_model,
+    mix_pflip,
     model_from_json,
     model_to_json,
+    pflip_draws,
     validate_model,
 )
 from jghm.oracle import exact_conditional_root
@@ -237,6 +240,51 @@ class TestPflipFamily:
             warnings.simplefilter("ignore")
             b = validate_model(model)
         assert b >= S or np.isinf(b)
+
+
+def _bits(model):
+    """Every array and the metadata of a model, as bytes and dicts."""
+    arrays = [model.root_prior, model.root_cum]
+    for modality in ("im", "tx"):
+        arrays.extend(k for level in model.kernels(modality) for k in level)
+        plan = model.plan(modality)
+        arrays.extend(a for table in (plan.cum, plan.down, plan.up, plan.columns) for a in table)
+    return [(a.shape, a.tobytes()) for a in arrays], model.metadata
+
+
+class TestSharedDraws:
+    """Models mixed from one set of draws equal models with draws of their own."""
+
+    @pytest.mark.parametrize("overrides", [{}, {"p_flip_im": 0.05}, {"p_flip_tx": 0.9},
+                                           {"p_flip_im": 1.0, "p_flip_tx": 0.0}],
+                             ids=["none", "im", "tx", "both"])
+    def test_mixed_model_bitwise_equal_to_own_draws(self, overrides):
+        t = topo(m_im=(3, 2), m_tx=(2, 3), S=4)
+        draws = pflip_draws(ModelGenSpec(topology=t, p_flip=0.5, seed=13, gaussian_scale=1.7))
+        for p in (0.0, 0.2, 0.3, 1.0):
+            spec = ModelGenSpec(topology=t, p_flip=p, seed=13, gaussian_scale=1.7, **overrides)
+            assert _bits(mix_pflip(draws, spec)) == _bits(make_pflip_model(spec))
+
+    @pytest.mark.parametrize("field, value", [("seed", 14), ("gaussian_scale", 2.0),
+                                              ("topology", topo(m_tx=(2, 3)))])
+    def test_draws_of_another_spec_raise(self, field, value):
+        spec = ModelGenSpec(topology=topo(), p_flip=0.3, seed=13)
+        draws = pflip_draws(dataclasses.replace(spec, **{field: value}))
+        with pytest.raises(ModelError, match=f"another {field} than the spec"):
+            mix_pflip(draws, spec)
+
+    def test_draws_are_frozen(self):
+        draws = pflip_draws(ModelGenSpec(topology=topo(), p_flip=0.3, seed=13))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            draws.seed = 14
+        for modality in ("im", "tx"):
+            for level in draws.levels(modality):
+                for a in (a for pair in level for a in pair):
+                    assert not a.flags.writeable
+
+    def test_overflowing_gaussian_scale_raises_in_the_draws(self):
+        with pytest.raises(ModelError, match=r"gaussian_scale: 1e\+308 overflows the kernel draws"):
+            pflip_draws(ModelGenSpec(topology=topo(), p_flip=0.0, seed=13, gaussian_scale=1e308))
 
 
 class TestSerialization:

@@ -15,7 +15,7 @@ from jghm.encoders import (
     exact_score,
     prefix_text_encoder,
 )
-from jghm.model import ModelGenSpec, TreeTopology, make_pflip_model
+from jghm.model import ModelError, ModelGenSpec, TreeTopology, make_pflip_model
 from jghm.oracle import (
     BudgetExceeded,
     config_count,
@@ -66,6 +66,23 @@ class TestJointTable:
             i = ref_table.index("im", draws.x_im[k])
             via_joint = ref_table.prior * ref_table.cond_im[:, i]
             assert np.allclose(direct, via_joint / via_joint.sum(), atol=1e-10)
+
+    @pytest.mark.parametrize("leaves, got", [
+        ([1, 2, 3], r"shape \(3,\)"), ([1, 2, 3, 4], "states 1..4"), ([0, 3, 3, 3], "states 0..3"),
+        ([[1, 1, 1, 1], [1, 1, 1, 4]], "states 1..4"),
+    ], ids=["3-leaves", "state-4", "state-0", "batch"])
+    def test_wrong_leaf_tuple_raises(self, ref_table, leaves, got):
+        """A tuple of another length or with a state outside [1, S] names the
+        modality, the leaf count and the range; it is never read as another."""
+        def match(modality):
+            return rf"{modality} leaves must be tuples of 4 states in \[1, 3\], got {got}"
+
+        with pytest.raises(ModelError, match=match("im")):
+            exact_conditional_root(ref_table, "im", leaves)
+        with pytest.raises(ModelError, match=match("im")):
+            exact_next_token(ref_table, leaves, [1])
+        with pytest.raises(ModelError, match=match("tx")):
+            exact_denoiser(ref_table, np.zeros(4), 1.0, leaves)
 
     def test_budget_guard(self):
         topo = large_scale_topology()
