@@ -35,7 +35,6 @@ from .bp import (
     next_token_posteriors_parallel,
     normalize,
     posterior_floor,
-    readout_bound,
     root_posterior,
     text_log_likelihood,
     upsweep,

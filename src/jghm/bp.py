@@ -24,6 +24,10 @@ is the likelihood of the scaled forward recipe. By the chain rule its
 negative is the sum of the teacher-forced next-token NLLs, so the vlm risk
 needs no next-token posteriors.
 
+The denoiser's one core is the SDE's drift (`_image_drift`): bound once to
+a model and a text, a call is only the image tree's down and up pass, and
+its input is checked by the caller (`conditioned_denoiser` on every call).
+
 Teacher-forced next-token prediction (`next_token_posteriors_parallel`) is
 the down pass plus one up pass over complete messages only: the message
 into a node from outside its subtree, given every token before the subtree,
@@ -48,7 +52,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import JghmModel, ModelError, effective_b_psi
+from .model import JghmModel, ModelError, TreePlan, effective_b_psi
 from .sampler import NoisyImage, check_time
 
 __all__ = [
@@ -62,7 +66,6 @@ __all__ = [
     "root_log_posterior",
     "root_posterior",
     "text_log_likelihood",
-    "readout_bound",
     "bayes_denoiser",
     "conditioned_denoiser",
     "next_token_posterior_bp",
@@ -116,17 +119,18 @@ def leaf_evidence_from_noise(z: np.ndarray, t: float, n_states: int) -> Belief:
     squared form cancels catastrophically. t = 0 carries no information and
     yields the all-zero belief.
     """
-    return normalize(_noise_profile(z, t, n_states))
-
-
-def _noise_profile(z: np.ndarray, t: float, n_states: int) -> Belief:
-    """`leaf_evidence_from_noise` before it is normalized."""
     z = np.asarray(z, dtype=float)
-    check_time(t)
+    states = np.arange(1, n_states + 1, dtype=float)
+    return normalize(_noise_profile(z, check_time(t), states, states**2))
+
+
+def _noise_profile(z: np.ndarray, t: float, states: np.ndarray, squares: np.ndarray) -> np.ndarray:
+    """`leaf_evidence_from_noise` before it is normalized, unchecked: a
+    fresh (..., S) array. `states` is 1..S as floats, `squares` their
+    squares."""
     if t == 0:
-        return np.zeros(z.shape + (n_states,))
-    s = np.arange(1, n_states + 1, dtype=float)
-    return s * z[..., None] - t * s**2 / 2.0
+        return np.zeros(z.shape + states.shape)
+    return states * z[..., None] - t * squares / 2.0
 
 
 # ---------------------------------------------------------------------------
@@ -134,18 +138,19 @@ def _noise_profile(z: np.ndarray, t: float, n_states: int) -> Belief:
 # ---------------------------------------------------------------------------
 
 
-def _rescale(h: np.ndarray) -> np.ndarray:
+def _rescale(h: np.ndarray, ones: np.ndarray) -> np.ndarray:
     """Divide every node's message by its total, in place, and return the
     totals: every caller passes a fresh array, and writing back saves
     allocating another. The likelihood is the product of the totals
     divided out and what remains at the root.
 
-    The total is a matvec with ones: numpy's max or sum over a short last
-    axis costs several times as much, and either scale keeps every node's
-    largest entry within [1/S, 1].
+    The total is a matvec with `ones` (the plan's, length S): numpy's max
+    or sum over a short last axis costs several times as much, and either
+    scale keeps every node's largest entry within [1/S, 1]. The minimum is
+    taken from +inf (an empty batch passes), and a nan total fails.
     """
-    total = h @ np.ones(h.shape[-1])
-    if not (total > 0).all():
+    total = h @ ones
+    if not np.minimum.reduce(total, axis=None, initial=np.inf) > 0:
         raise ModelError(IMPOSSIBLE)
     np.divide(h, total[..., None], out=h)
     return total
@@ -213,9 +218,9 @@ def _prior_share(model: JghmModel, modality: str) -> np.ndarray:
     return model.root_prior ** (1.0 / model.topology.branching(modality)[0])
 
 
-def _down(model: JghmModel, modality: str, qs: list, h: np.ndarray = None):
-    """Scaled down pass from the leaves to level 1; it stops below the root,
-    which each caller forms (or not) itself.
+def _down(plan: TreePlan, qs: list, h: np.ndarray = None):
+    """Scaled down pass from the leaves to level 1 of the tree of `plan`; it
+    stops below the root, which each caller forms (or not) itself.
 
     qs[L-1] holds the leaves' child-to-parent messages, or `h` is already
     their product per level-(L-1) node (leaves entered rank by rank). Stores
@@ -223,35 +228,32 @@ def _down(model: JghmModel, modality: str, qs: list, h: np.ndarray = None):
     returns (hs, totals): hs[l] the level-l products scaled to total 1 (hs[0]
     is None), and the totals divided out, one array per level from L-1 down.
     """
-    ms = model.topology.branching(modality)
-    down = model.plan(modality).down
-    hs, totals = [None] * model.topology.depth, []
-    for level in range(model.topology.depth - 1, 0, -1):
+    ms, down = plan.branching, plan.down
+    hs, totals = [None] * len(ms), []
+    for level in range(len(ms) - 1, 0, -1):
         if h is None:
             h = _sibling_product(qs[level], ms[level])
-        totals.append(_rescale(h))
+        totals.append(_rescale(h, plan.ones))
         hs[level] = h
         qs[level - 1] = _by_rank(h, down[level - 1])
         h = None
     return hs, totals
 
 
-def _up(model: JghmModel, modality: str, qs, h_leaf: np.ndarray, root_extra: np.ndarray):
+def _up(plan: TreePlan, qs, h_leaf: np.ndarray, root_extra: np.ndarray):
     """Scaled up pass: parent-to-child messages for levels 1..L, then the
     normalized leaf beliefs, all in probability domain. `root_extra` is a
     probability vector over the root; `h_leaf` is the leaf evidence."""
-    ms = model.topology.branching(modality)
     out = root_extra[..., None, :]
     bs = []
-    for level, blocks in enumerate(model.plan(modality).up, start=1):
-        m = ms[level - 1]
-        msg = _group(_cavities(qs[level - 1], m), m) * out[..., None, :]
+    for m, blocks, q in zip(plan.branching, plan.up, qs):
+        msg = _group(_cavities(q, m), m) * out[..., None, :]
         msg = msg.reshape(msg.shape[:-3] + (-1, msg.shape[-1]))
-        _rescale(msg)
+        _rescale(msg, plan.ones)
         bs.append(msg)
         out = _by_rank(msg, blocks)
     out *= h_leaf
-    _rescale(out)
+    _rescale(out, plan.ones)
     bs.append(out)
     return bs
 
@@ -265,16 +267,27 @@ def _down_from_evidence(model: JghmModel, modality: str, evidence: Belief):
     """Leaf evidence as probabilities and the scaled down pass above it, to
     level 1: (h_leaf, hs, qs) with qs[L-1] the leaves' child-to-parent
     messages."""
+    _check_evidence_shape(model, modality, evidence.shape)
+    h_leaf = np.exp(normalize(evidence))
+    return (h_leaf,) + _down_from_leaves(model.plan(modality), h_leaf)
+
+
+def _down_from_leaves(plan: TreePlan, h_leaf: np.ndarray):
+    """The scaled down pass above leaf evidence given as probabilities, to
+    level 1: (hs, qs) with qs[L-1] the leaves' child-to-parent messages."""
+    qs = [None] * (len(plan.down) - 1) + [_by_rank(h_leaf, plan.down[-1])]
+    hs, _ = _down(plan, qs)
+    return hs, qs
+
+
+def _check_evidence_shape(model: JghmModel, modality: str, shape: tuple):
+    """Leaf evidence must end in (n_leaves, S)."""
     topo = model.topology
-    if evidence.shape[-2:] != (topo.n_leaves(modality), topo.n_states):
+    if shape[-2:] != (topo.n_leaves(modality), topo.n_states):
         raise ModelError(
-            f"evidence shape {evidence.shape[-2:]} does not match "
+            f"evidence shape {shape[-2:]} does not match "
             f"({topo.n_leaves(modality)}, {topo.n_states})"
         )
-    h_leaf = np.exp(normalize(evidence))
-    qs = [None] * (topo.depth - 1) + [_by_rank(h_leaf, model.plan(modality).down[-1])]
-    hs, _ = _down(model, modality, qs)
-    return h_leaf, hs, qs
 
 
 def downsweep(model: JghmModel, modality: str, evidence: Belief, prior_mode: str = "split") -> MessageStack:
@@ -289,10 +302,11 @@ def downsweep(model: JghmModel, modality: str, evidence: Belief, prior_mode: str
     if prior_mode not in ("split", "none"):
         raise ModelError(f"unknown prior_mode {prior_mode!r}")
     _, hs, qs = _down_from_evidence(model, modality, evidence)
+    plan = model.plan(modality)
     if prior_mode == "split":
         qs[0] = qs[0] * _prior_share(model, modality)
-    hs[0] = _sibling_product(qs[0], model.topology.branching(modality)[0])
-    _rescale(hs[0])
+    hs[0] = _sibling_product(qs[0], plan.branching[0])
+    _rescale(hs[0], plan.ones)
     return MessageStack(h=tuple(_log(h) for h in hs) + (evidence,), q=tuple(_log(q) for q in qs))
 
 
@@ -309,7 +323,7 @@ def upsweep(model: JghmModel, modality: str, stack: MessageStack, root_extra: Be
     """
     qs = [np.exp(q) for q in stack.q]
     h_leaf = np.exp(normalize(stack.h[-1]))
-    bs = _up(model, modality, qs, h_leaf, np.exp(normalize(np.asarray(root_extra))))
+    bs = _up(model.plan(modality), qs, h_leaf, np.exp(normalize(np.asarray(root_extra))))
     return MessageStack(h=stack.h, q=stack.q, b=tuple(_log(b) for b in bs))
 
 
@@ -348,7 +362,7 @@ def _observed_root(model: JghmModel, modality: str, leaves: np.ndarray, share: n
     if topo.depth == 1:
         return h, []
     qs = [None] * topo.depth
-    _, totals = _down(model, modality, qs, h)
+    _, totals = _down(model.plan(modality), qs, h)
     q = qs[0] if share is None else qs[0] * share
     return _sibling_product(q, topo.branching(modality)[0]), totals
 
@@ -357,7 +371,7 @@ def root_log_posterior(model: JghmModel, modality: str, leaves: np.ndarray) -> B
     """log P[root = s | leaves], exactly normalized."""
     leaves = _check_leaves(model, modality, leaves)
     root, _ = _observed_root(model, modality, leaves, _prior_share(model, modality))
-    _rescale(root)
+    _rescale(root, model.plan(modality).ones)
     with np.errstate(divide="ignore"):
         return np.log(root[..., 0, :])
 
@@ -386,12 +400,6 @@ def text_log_likelihood(model: JghmModel, x_im: np.ndarray, x_tx: np.ndarray) ->
         return np.log((root[..., 0, :] * img_post).sum(axis=-1)) + log_scale
 
 
-def readout_bound(model: JghmModel) -> float:
-    """Score truncation radius 4 * m1 * log(B_psi); inf for unbounded models."""
-    b = effective_b_psi(model)
-    return np.inf if not np.isfinite(b) else 4.0 * model.topology.m_first * np.log(b)
-
-
 def posterior_floor(model: JghmModel) -> float:
     """Lower bound 1 / (B_psi^(2 m1) * S) on every root-posterior entry."""
     b = effective_b_psi(model)
@@ -404,24 +412,50 @@ def _leaf_posteriors(model: JghmModel, modality: str, evidence: Belief, root_ext
     """P[x_v = s | evidence, root_extra] for every leaf v; `root_extra` is a
     probability vector over the root."""
     h_leaf, _, qs = _down_from_evidence(model, modality, evidence)
-    return _up(model, modality, qs, h_leaf, root_extra)[-1]
+    return _up(model.plan(modality), qs, h_leaf, root_extra)[-1]
+
+
+def _image_drift(model: JghmModel, x_tx: np.ndarray):
+    """The optimal denoiser as the SDE's drift: (z, t) -> E[x_im,v | z_t,
+    x_tx] per coordinate, bound to one model and text.
+
+    The text posterior (which checks x_tx) is computed here, once; a call
+    runs only the arithmetic of the image tree's down and up pass. The
+    caller passes a valid t and a finite z of shape (..., d_im). Evidence
+    with no possible state still raises in `_rescale`: its shifted profile
+    row is nan, and so is every total above it.
+    """
+    text_post = np.exp(root_log_posterior(model, "tx", x_tx))
+    plan = model.plan_im
+    states = np.arange(1, model.n_states + 1, dtype=float)
+    squares = states**2
+
+    def drift(z: np.ndarray, t: float) -> np.ndarray:
+        h_leaf = _noise_profile(z, t, states, squares)
+        h_leaf -= h_leaf.max(axis=-1, keepdims=True)
+        np.exp(h_leaf, out=h_leaf)
+        _, qs = _down_from_leaves(plan, h_leaf)
+        return _up(plan, qs, h_leaf, text_post)[-1] @ states
+
+    return drift
 
 
 def conditioned_denoiser(model: JghmModel, x_tx: np.ndarray):
     """The optimal denoiser bound to one text: a function of a NoisyImage
     returning E[x_im,v | z_t, x_tx] per coordinate.
 
-    The text posterior is computed here, once; each call runs only the
-    image tree's down and up pass. Calls broadcast over leading axes of
-    `noisy.z` (against those of `x_tx`); every output lies in [1, S].
+    The text posterior is computed here, once; each call checks the shape
+    of `noisy.z` (the NoisyImage has checked t and that z is finite) and
+    runs only the image tree's down and up pass. Calls broadcast over
+    leading axes of `noisy.z` (against those of `x_tx`); every output lies
+    in [1, S].
     """
-    text_post = np.exp(root_log_posterior(model, "tx", x_tx))
-    states = np.arange(1, model.n_states + 1, dtype=float)
+    drift = _image_drift(model, x_tx)
 
     def denoise(noisy: NoisyImage) -> np.ndarray:
-        # _down_from_evidence normalizes the profile, once
-        ev = _noise_profile(noisy.z, noisy.t, model.n_states)
-        return _leaf_posteriors(model, "im", ev, text_post) @ states
+        z = np.asarray(noisy.z, dtype=float)
+        _check_evidence_shape(model, "im", z.shape + (model.n_states,))
+        return drift(z, noisy.t)
 
     return denoise
 
@@ -481,10 +515,10 @@ def next_token_posteriors_parallel(model: JghmModel, x_im: np.ndarray, x_tx: np.
     D = root_posterior(model, "im", x_im)[..., None, :]
 
     qs = [None] * (L - 1) + [_leaf_gather(plan.columns[L - 1], x_tx)]
-    _down(model, "tx", qs)
+    _down(plan, qs)
     for level in range(1, L + 1):
         msg = D[..., None, :] * _exclusive_prefix(_group(qs[level - 1], ms[level - 1]))
         msg = msg.reshape(msg.shape[:-3] + (-1, msg.shape[-1]))
         D = _by_rank(msg, plan.up[level - 1])
-        _rescale(D)
+        _rescale(D, plan.ones)
     return D

@@ -12,12 +12,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bp import conditioned_denoiser, root_log_posterior
+from .bp import _image_drift, root_log_posterior
 from .model import JghmModel, ModelError
 from .oracle import encode_leaves, enumerate_joint
 from .metrics import RiskReport
 from .rng import stream
-from .sampler import NoisyImage
 
 __all__ = ["SdeConfig", "sample_image_sde", "round_to_states", "sampled_law", "law_distance"]
 
@@ -56,17 +55,20 @@ def sample_image_sde(model: JghmModel, x_tx: np.ndarray, cfg: SdeConfig,
     """Euler scheme Y_{k+1} = Y_k + m(Y_k, k dt) dt + sqrt(dt) xi_k, Y_0 = 0.
 
     Returns Y_T / T per trajectory, shape (n_paths, d_im). The drift is the
-    exact denoiser of `drift_model` (default: the data model), bound to
-    `x_tx` once per run; `drift_fn` overrides it entirely (test hook, e.g.
-    zero drift).
+    exact denoiser of `drift_model` (default: the data model), bound to it
+    and `x_tx` once per run, when x_tx and the image size are checked; each
+    step then runs only BP arithmetic and checks that Y stays finite, which
+    is all the drift needs of its input. `drift_fn(z, t)` overrides the
+    drift entirely (test hook, e.g. zero drift).
     """
-    if drift_fn is None:
-        denoise = conditioned_denoiser(drift_model if drift_model is not None else model, x_tx)
-
-        def drift_fn(z, t):
-            return denoise(NoisyImage(t=t, z=z))
-
     d = model.topology.d_im
+    if drift_fn is None:
+        drift_model = model if drift_model is None else drift_model
+        if drift_model.topology.d_im != d:
+            raise ModelError(f"the drift model has {drift_model.topology.d_im} image leaves, "
+                             f"the data model {d}")
+        drift_fn = _image_drift(drift_model, x_tx)
+
     sqrt_dt = math.sqrt(cfg.dt)
     out = np.empty((cfg.n_paths, d))
     for chunk, lo in enumerate(range(0, cfg.n_paths, TRAJ_CHUNK)):
@@ -76,7 +78,7 @@ def sample_image_sde(model: JghmModel, x_tx: np.ndarray, cfg: SdeConfig,
         for k in range(cfg.n_steps):
             m = drift_fn(y, k * cfg.dt)
             y = y + m * cfg.dt + sqrt_dt * rng.standard_normal(y.shape)
-            if not np.all(np.isfinite(y)):
+            if not np.isfinite(y).all():
                 raise ModelError(f"non-finite trajectory state at step {k}")
         out[lo:hi] = y / cfg.horizon
     return out

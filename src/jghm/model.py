@@ -165,7 +165,7 @@ def validate_kernel(kernel: np.ndarray):
     bad = np.abs(row_sums - 1.0) > ROW_SUM_TOL
     if np.any(bad):
         s = row_sums[bad][0]
-        problems.append(f"kernel row sums to {s!r}, expected 1 within {ROW_SUM_TOL}")
+        problems.append(f"kernel row sums to {float(s)}, expected 1 within {ROW_SUM_TOL}")
     return problems
 
 
@@ -179,6 +179,9 @@ class TreePlan:
     """The tables the sampler and BP read for one tree, one entry per level
     1..L; built once per model and read-only.
 
+    branching  the number of children per node at each level (m per level);
+    ones       (S,) ones, the vector BP's totals are a matvec with.
+
     With m kernels of size S at a level:
       cum     (m, S, S)     cumulative rows of each rank's kernel, for
                             inverse-CDF draws;
@@ -191,6 +194,8 @@ class TreePlan:
                             observed in state x.
     """
 
+    branching: tuple
+    ones: np.ndarray
     cum: tuple
     down: tuple
     up: tuple
@@ -210,7 +215,8 @@ def _tree_plan(levels, S: int) -> TreePlan:
         down.append(_frozen(d))
         up.append(_frozen(u))
         columns.append(_frozen(np.concatenate([kernel.T for kernel in level])))
-    return TreePlan(tuple(cum), tuple(down), tuple(up), tuple(columns))
+    return TreePlan(tuple(len(level) for level in levels), _frozen(np.ones(S)),
+                    tuple(cum), tuple(down), tuple(up), tuple(columns))
 
 
 @dataclass(frozen=True)
@@ -306,7 +312,7 @@ def validate_model(model: JghmModel) -> float:
     if not np.all(prior > 0):  # nan included
         problems.append("root_prior must be entrywise > 0")
     if abs(float(prior.sum()) - 1.0) > MASS_TOL:
-        problems.append(f"root_prior sums to {prior.sum()!r}, expected 1")
+        problems.append(f"root_prior sums to {float(prior.sum())}, expected 1")
     for modality in MODALITIES:
         for level_idx, level in enumerate(model.kernels(modality), start=1):
             for rank, kernel in enumerate(level, start=1):

@@ -267,16 +267,21 @@ def next_token_from_weights(table: JointTable, weights: np.ndarray, prefix) -> n
     """Next-token law from unnormalized weights over all text tuples.
 
     `weights[j]` must be proportional to P(x_tx = tuple_j | context); the
-    result is P(x_tx,i+1 | context, prefix) for the given observed prefix.
+    result is P(x_tx,i+1 | context, prefix) for the given observed prefix,
+    which must hold at most d_tx - 1 states in [1, S] (else ModelError).
     """
     prefix = np.asarray(prefix, dtype=np.int64).reshape(-1)
-    i = len(prefix)
-    tuples = table.tuples_tx
+    tuples, S = table.tuples_tx, table.n_states
+    i, d = len(prefix), tuples.shape[1]
+    if i > d - 1:
+        raise ModelError(f"prefix length {i} exceeds d_tx - 1 = {d - 1}")
+    if i and (prefix.min() < 1 or prefix.max() > S):
+        raise ModelError(f"prefix values must lie in [1, {S}], got {prefix.min()}..{prefix.max()}")
     mask = np.ones(len(tuples), dtype=bool)
     for v in range(i):
         mask &= tuples[:, v] == prefix[v]
-    out = np.zeros(table.n_states)
-    for s in range(1, table.n_states + 1):
+    out = np.zeros(S)
+    for s in range(1, S + 1):
         out[s - 1] = weights[mask & (tuples[:, i] == s)].sum()
     total = out.sum()
     if total == 0:

@@ -13,7 +13,6 @@ from jghm import (
     next_token_posteriors_parallel,
     normalize,
     posterior_floor,
-    readout_bound,
     root_posterior,
     sample_joint,
     sample_joint_batch,
@@ -33,7 +32,13 @@ from jghm.oracle import (
     exact_denoiser,
     exact_next_token,
 )
-from jghm.presets import diffusion_model, large_scale_topology, micro_model, reference_topology
+from jghm.presets import (
+    diffusion_model,
+    large_scale_topology,
+    micro_model,
+    reference_model,
+    reference_topology,
+)
 from jghm.sampler import NoisyImage, sample_text_for_class
 from test_model import uniform_model
 
@@ -216,7 +221,6 @@ class TestOptimalScore:
         tx = np.tile(ref_table.tuples_tx, (n_im, 1))
         scores = exact_score(ref_model)(im, tx)
         assert np.all(np.abs(scores) <= bound)
-        assert readout_bound(ref_model) == pytest.approx(2 * bound)
 
 
 class TestDenoiser:
@@ -269,15 +273,95 @@ class TestDenoiser:
         for k in range(5):
             assert np.allclose(got[k], exact_denoiser(ref_table, z[k], t, s.x_tx), atol=1e-8)
 
-    def test_noise_evidence_normalized_once_per_call(self, ref_model, monkeypatch):
+    def test_noise_profile_built_once_and_not_rechecked(self, ref_model, monkeypatch):
+        # the drift shifts the profile by its maximum itself, once; normalize
+        # (and its -inf check, which _rescale makes again) is not called
         s = sample_joint(ref_model, stream(11, "den5"))
         noisy = NoisyImage(t=0.8, z=stream(11, "den5z").standard_normal((3, 4)))
-        want = bayes_denoiser(ref_model, noisy, s.x_tx)
+        want = _leaf_posteriors(ref_model, "im", leaf_evidence_from_noise(noisy.z, noisy.t, 3),
+                                root_posterior(ref_model, "tx", s.x_tx)) @ [1.0, 2.0, 3.0]
         denoise = conditioned_denoiser(ref_model, s.x_tx)
-        calls = []
+        calls, profiles = [], []
         monkeypatch.setattr(bp, "normalize", lambda b: calls.append(b.shape) or normalize(b))
+        profile = bp._noise_profile
+        monkeypatch.setattr(bp, "_noise_profile", lambda *a: profiles.append(a[0].shape) or profile(*a))
         assert np.array_equal(denoise(noisy), want)
-        assert calls == [(3, 4, 3)]
+        assert calls == [] and profiles == [(3, 4)]
+
+
+def _large_model():
+    return make_pflip_model(ModelGenSpec(topology=large_scale_topology(), p_flip=0.2, seed=0))
+
+
+class TestImageDrift:
+    """The SDE's bound drift does only the arithmetic of the public denoiser:
+    bitwise the same values, and the public denoiser rejects what it did."""
+
+    MODELS = {"ref": lambda: reference_model(0.3), "perm": lambda: reference_model(0.0),
+              "large": _large_model}
+
+    @pytest.mark.parametrize("name", sorted(MODELS))
+    @pytest.mark.parametrize("n", [1, 16])
+    def test_equals_public_denoiser(self, name, n):
+        model = self.MODELS[name]()
+        s = sample_joint(model, stream(40, "drift", name))
+        S = model.n_states
+        drift = bp._image_drift(model, s.x_tx)
+        denoise = conditioned_denoiser(model, s.x_tx)
+        text_post = root_posterior(model, "tx", s.x_tx)
+        states = np.arange(1, S + 1, dtype=float)
+        for t in (0.0, 1e-300, 0.2, 1.0, 7.4, 19.8, 1e6):
+            z = t * s.x_im + np.sqrt(t) * stream(41, name, n, str(t)).standard_normal((n, len(s.x_im)))
+            got = drift(z, t)
+            assert np.array_equal(got, denoise(NoisyImage(t=t, z=z)))
+            # the checked sweep: normalized evidence through _down_from_evidence
+            checked = _leaf_posteriors(model, "im", leaf_evidence_from_noise(z, t, S), text_post)
+            assert np.array_equal(got, checked @ states)
+            assert got.shape == z.shape
+
+    # z of the wrong shape or non-finite raises at every t. A finite z near
+    # the float maximum raises only at t > 0 (t = 0 ignores z), where its
+    # profile has no possible state: always for +1e308 (the row is nan),
+    # and for -1e308 when the permutation model's text rules state 1 out.
+    # `errors` holds the error at p_flip 0.3 and at p_flip 0.
+    @pytest.mark.parametrize("p_flip", [0.3, 0.0])
+    @pytest.mark.parametrize("t", [0.0, 1e-300, 1.0])
+    @pytest.mark.parametrize("z, errors", [
+        ([np.inf, 1, 1, 1], ("non-finite",) * 2),
+        ([np.nan, 1, 1, 1], ("non-finite",) * 2),
+        ([1, 1, -np.inf, 1], ("non-finite",) * 2),
+        ([1e308, 1, 1, 1], ("no possible state",) * 2),
+        ([-1e308, 1, 1, 1], (None, "no possible state")),
+        ([-1e308] * 4, (None, "no possible state")),
+        ([1.0, 2.0, 3.0], ("evidence shape",) * 2),
+        ([1.0] * 5, ("evidence shape",) * 2),
+        (1.0, ("evidence shape",) * 2),
+        ([[1.0], [2.0], [3.0], [1.0]], ("evidence shape",) * 2),
+    ], ids=["inf", "nan", "-inf", "+1e308", "-1e308", "all-1e308", "short", "long", "scalar",
+            "column"])
+    def test_public_denoiser_rejects_the_same_inputs(self, p_flip, t, z, errors):
+        model = reference_model(p_flip)
+        x_tx = sample_joint(model, stream(42, "rej")).x_tx
+        denoise = conditioned_denoiser(model, x_tx)
+        error = errors[p_flip == 0.0]
+        if error == "no possible state" and t == 0:
+            error = None
+        if error is None:
+            with np.errstate(over="ignore"):
+                got = denoise(NoisyImage(t=t, z=np.array(z)))
+            assert np.all((got >= 1) & (got <= 3))
+        else:
+            with pytest.raises(ModelError, match=error), np.errstate(over="ignore", invalid="ignore"):
+                denoise(NoisyImage(t=t, z=np.array(z)))
+
+    def test_profile_with_no_finite_state_raises_in_rescale(self, ref_model):
+        # s*z - t*s^2/2 overflows to -inf for every state: the shifted row is
+        # nan, and the first total it reaches is not > 0
+        x_tx = sample_joint(ref_model, stream(43, "rej")).x_tx
+        noisy = NoisyImage(t=1e308, z=np.array([-1.5e308, 1.0, 1.0, 1.0]))
+        with pytest.raises(ModelError, match="no possible state"), \
+                np.errstate(over="ignore", invalid="ignore"):
+            conditioned_denoiser(ref_model, x_tx)(noisy)
 
 
 class TestNextToken:
@@ -392,7 +476,7 @@ def retired_next_token_posteriors(model, x_im, x_tx):
         Es[level] = E
         if level > 1:
             H = (grouped * E).reshape(Q.shape)
-            bp._rescale(H)
+            bp._rescale(H, plan.ones)
 
     lead = np.broadcast_shapes(img_post.shape[:-1], x_tx.shape[:-1])
     D = np.broadcast_to(img_post[..., None, :], lead + (d, S))
@@ -400,7 +484,7 @@ def retired_next_token_posteriors(model, x_im, x_tx):
         m, stride = ms[level - 1], strides[level]
         D = (D.reshape(lead + (-1, m, stride, S)) * Es[level]).reshape(lead + (d, S))
         D = by_rank(D, plan.up[level - 1], stride)
-        bp._rescale(D)
+        bp._rescale(D, plan.ones)
     return D
 
 

@@ -726,6 +726,20 @@ def test_model_file_near_float_max_names_its_invariant_alone(workdir, field, val
     assert r.stderr.startswith(f"error: {message}") and r.stderr.count("\n") == 1, r.stderr
 
 
+@pytest.mark.parametrize("field, stderr", [
+    (("kernels_im", 0, 0, 0), "error: kernels_im[1][1]: kernel row sums to inf, expected 1 within 1e-12\n"),
+    (("root_prior",), "error: root_prior sums to inf, expected 1\n"),
+])
+def test_model_file_errors_print_plain_floats(workdir, field, stderr):
+    doc = copy.deepcopy(MODEL_DOC)
+    _at(doc, field[:-1])[field[-1]] = [1e308] * 3
+    (workdir / "model.json").write_text(json.dumps(doc))
+    path = workdir / "cfg.json"
+    path.write_text(json.dumps({"model_path": str(workdir / "model.json"), "n": 2}))
+    r = run_cli("export-dataset", "--config", str(path), "--out", str(workdir / "o"))
+    assert (r.returncode, r.stderr) == (1, stderr)
+
+
 def test_selftest_passes():
     r = run_cli("selftest")
     assert r.returncode == 0

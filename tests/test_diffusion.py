@@ -1,11 +1,18 @@
 import numpy as np
 import pytest
 
-from jghm import sample_joint, stream
-from jghm.diffusion import SdeConfig, law_distance, round_to_states, sample_image_sde, sampled_law
+from jghm import NoisyImage, conditioned_denoiser, sample_joint, stream
+from jghm.diffusion import (
+    TRAJ_CHUNK,
+    SdeConfig,
+    law_distance,
+    round_to_states,
+    sample_image_sde,
+    sampled_law,
+)
 from jghm.model import ModelError
 from jghm.oracle import encode_leaves, enumerate_joint
-from jghm.presets import diffusion_model
+from jghm.presets import diffusion_model, reference_model
 
 
 @pytest.fixture(scope="module")
@@ -58,6 +65,38 @@ class TestSde:
         a = sample_image_sde(diff_model, text, cfg)
         b = sample_image_sde(diff_model, text, cfg)
         assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("model", [diffusion_model(), reference_model()], ids=["diff", "ref"])
+    def test_bound_drift_equals_public_denoiser_across_chunks(self, model):
+        # TRAJ_CHUNK + 3 paths: a full chunk and a 3-path chunk with its own stream
+        x_tx = sample_joint(model, stream(14, "sde-chunk")).x_tx
+        cfg = SdeConfig(horizon=0.6, dt=0.2, n_paths=TRAJ_CHUNK + 3, seed=14)
+        denoise = conditioned_denoiser(model, x_tx)
+        public = sample_image_sde(model, x_tx, cfg, drift_fn=lambda z, t: denoise(NoisyImage(t=t, z=z)))
+        assert np.array_equal(sample_image_sde(model, x_tx, cfg), public)
+        tail = SdeConfig(horizon=0.6, dt=0.2, n_paths=3, seed=14)
+        assert not np.array_equal(public[-3:], sample_image_sde(model, x_tx, tail))
+
+    def test_drift_output_not_mutated(self, diff_model, text):
+        drift = np.array([0.25, -0.5])
+        seen = []
+
+        def drift_fn(z, t):
+            seen.append(z.copy())
+            return drift
+
+        cfg = SdeConfig(horizon=0.3, dt=0.1, n_paths=5, seed=15)
+        out = sample_image_sde(diff_model, text, cfg, drift_fn=drift_fn)
+        assert np.array_equal(drift, [0.25, -0.5])
+        assert len(seen) == 3 and np.array_equal(seen[0], np.zeros((5, 2)))
+        noise = stream(15, "sde-noise", 0).standard_normal((5, 2))
+        assert np.array_equal(seen[1], np.zeros((5, 2)) + drift * cfg.dt + np.sqrt(cfg.dt) * noise)
+        assert out.shape == (5, 2)
+
+    def test_drift_model_of_another_image_size_rejected(self, diff_model, text):
+        cfg = SdeConfig(horizon=0.2, dt=0.1, n_paths=2, seed=16)
+        with pytest.raises(ModelError, match="image leaves"):
+            sample_image_sde(diff_model, text, cfg, drift_model=reference_model())
 
     def test_short_horizon_mean_matches_conditional_mean(self, diff_model, text):
         # one tiny step: output ~ m_0 + noise/sqrt(T); mean -> E[x_im | x_tx]

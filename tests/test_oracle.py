@@ -228,6 +228,16 @@ class TestExactNextToken:
             post = exact_next_token(ref_table, s.x_im[0], s.x_tx[0][:i])
             assert post.sum() == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("prefix, message", [
+        ([4], r"prefix values must lie in \[1, 3\], got 4\.\.4"),
+        ([0], r"prefix values must lie in \[1, 3\], got 0\.\.0"),
+        ([1, 1, 1, 1], "prefix length 4 exceeds d_tx - 1 = 3"),
+        ([1, 1, 1, 1, 1], "prefix length 5 exceeds d_tx - 1 = 3"),
+    ])
+    def test_prefix_checked_before_use(self, ref_table, prefix, message):
+        with pytest.raises(ModelError, match=message):
+            exact_next_token(ref_table, [1, 1, 1, 1], prefix)
+
 
 class TestInfoHelpers:
     def test_kl_conventions(self):
