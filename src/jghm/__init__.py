@@ -8,7 +8,6 @@ from .model import (
     ModelError,
     ModelGenSpec,
     TreeTopology,
-    leaf_index,
     make_pflip_model,
     mix_pflip,
     model_from_json,

@@ -445,16 +445,18 @@ def conditioned_denoiser(model: JghmModel, x_tx: np.ndarray):
     returning E[x_im,v | z_t, x_tx] per coordinate.
 
     The text posterior is computed here, once; each call checks the shape
-    of `noisy.z` (the NoisyImage has checked t and that z is finite) and
-    runs only the image tree's down and up pass. Calls broadcast over
-    leading axes of `noisy.z` (against those of `x_tx`); every output lies
-    in [1, S].
+    of `noisy.z` and that it is not empty (the NoisyImage has checked t and
+    that z is finite) and runs only the image tree's down and up pass.
+    Calls broadcast over leading axes of `noisy.z` (against those of
+    `x_tx`); every output lies in [1, S].
     """
     drift = _image_drift(model, x_tx)
 
     def denoise(noisy: NoisyImage) -> np.ndarray:
         z = np.asarray(noisy.z, dtype=float)
         _check_evidence_shape(model, "im", z.shape + (model.n_states,))
+        if z.size == 0:
+            raise ModelError(f"empty batch of noisy images, shape {z.shape}")
         return drift(z, noisy.t)
 
     return denoise

@@ -15,7 +15,7 @@ import numpy as np
 from .bp import _image_drift, root_log_posterior
 from .model import JghmModel, ModelError
 from .oracle import encode_leaves, enumerate_joint
-from .metrics import RiskReport
+from .metrics import RiskReport, _monte_carlo
 from .rng import stream
 
 __all__ = ["SdeConfig", "sample_image_sde", "round_to_states", "sampled_law", "law_distance"]
@@ -59,7 +59,9 @@ def sample_image_sde(model: JghmModel, x_tx: np.ndarray, cfg: SdeConfig,
     and `x_tx` once per run, when x_tx and the image size are checked; each
     step then runs only BP arithmetic and checks that Y stays finite, which
     is all the drift needs of its input. `drift_fn(z, t)` overrides the
-    drift entirely (test hook, e.g. zero drift).
+    drift entirely (test hook, e.g. zero drift). Trajectories run in chunks
+    of TRAJ_CHUNK through `metrics._monte_carlo`; chunk c draws its noise
+    from the stream (seed, "sde-noise", c).
     """
     d = model.topology.d_im
     if drift_fn is None:
@@ -70,18 +72,18 @@ def sample_image_sde(model: JghmModel, x_tx: np.ndarray, cfg: SdeConfig,
         drift_fn = _image_drift(drift_model, x_tx)
 
     sqrt_dt = math.sqrt(cfg.dt)
-    out = np.empty((cfg.n_paths, d))
-    for chunk, lo in enumerate(range(0, cfg.n_paths, TRAJ_CHUNK)):
-        hi = min(lo + TRAJ_CHUNK, cfg.n_paths)
+
+    def paths(chunk, B):
         rng = stream(cfg.seed, "sde-noise", chunk)
-        y = np.zeros((hi - lo, d))
+        y = np.zeros((B, d))
         for k in range(cfg.n_steps):
             m = drift_fn(y, k * cfg.dt)
             y = y + m * cfg.dt + sqrt_dt * rng.standard_normal(y.shape)
             if not np.isfinite(y).all():
                 raise ModelError(f"non-finite trajectory state at step {k}")
-        out[lo:hi] = y / cfg.horizon
-    return out
+        return y / cfg.horizon
+
+    return _monte_carlo(cfg.n_paths, paths, TRAJ_CHUNK)
 
 
 def round_to_states(samples: np.ndarray, n_states: int) -> np.ndarray:

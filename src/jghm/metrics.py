@@ -2,10 +2,15 @@
 zero-shot classification, conditional denoising, next-token divergence, and
 the matched/mismatched-model comparison.
 
-Monte-Carlo estimators consume counter-based streams keyed by purpose and
-chunk index, so results are bit-reproducible and independent of evaluation
-order. Reports carry the estimate, its standard error (0 for exact values)
-and the sample count.
+Every Monte-Carlo estimator, and the SDE sampler in `diffusion`, runs
+through one chunk loop, `_monte_carlo`. Chunk c (CHUNK rows, except in the
+SDE and the zsc sweep) draws from counter-based streams keyed by purpose
+and c: "clip-risk", "clip-excess" and "misspec-clip" (each also keyed by
+K), "zsc-images" and "zsc-texts" (also keyed by M_max), "cdm",
+"misspec-zsc-data", "misspec-cdm", "misspec-vlm" and "sde-noise". Results
+are therefore bit-reproducible and independent of evaluation order.
+Reports carry the estimate, its standard error (0 for exact values) and
+the sample count.
 """
 
 import math
@@ -78,9 +83,18 @@ def _mean_se(values: np.ndarray):
     return mean, se
 
 
-def _chunks(n: int, size: int = CHUNK):
-    for c, lo in enumerate(range(0, n, size)):
-        yield c, lo, min(lo + size, n)
+def _report(name: str, values: np.ndarray, meta: dict) -> RiskReport:
+    """The mean of per-row `values` with its standard error."""
+    return RiskReport(name, *_mean_se(values), len(values), meta)
+
+
+def _monte_carlo(n: int, rows, size: int = CHUNK) -> np.ndarray:
+    """The one chunk loop: `rows(c, B)` gives the (B, ...) block of chunk
+    c = 0, 1, ..., which holds B = min(size, n - c * size) rows; the blocks
+    are stacked in chunk order."""
+    if n < 1:
+        raise ModelError(f"a Monte-Carlo estimate needs n >= 1 rows, got {n}")
+    return np.concatenate([rows(c, min(size, n - lo)) for c, lo in enumerate(range(0, n, size))])
 
 
 def _logsumexp(a: np.ndarray, axis=-1):
@@ -119,15 +133,6 @@ def _contrastive_batch_losses(data_model: JghmModel, scores, K: int, B: int, rng
     return losses
 
 
-def _contrastive_losses(data_model: JghmModel, scores, K: int, n: int, seed: int, purpose: str):
-    """Per-batch InfoNCE losses for each score on n common batches: (n, len(scores))."""
-    losses = np.empty((n, len(scores)))
-    for c, lo, hi in _chunks(n):
-        losses[lo:hi] = _contrastive_batch_losses(
-            data_model, scores, K, hi - lo, stream(seed, purpose, K, c))
-    return losses
-
-
 def clip_risk(model: JghmModel, score, K: int, n: int, seed: int) -> RiskReport:
     """Monte-Carlo estimate of the symmetric InfoNCE risk at batch size K.
 
@@ -138,9 +143,9 @@ def clip_risk(model: JghmModel, score, K: int, n: int, seed: int) -> RiskReport:
     meta = {"K": K, "seed": seed, "score": score.name}
     if score.model is None:
         return RiskReport("clip_risk", 2.0 * math.log(K), 0.0, n, meta)
-    losses = _contrastive_losses(model, [score], K, n, seed, "clip-risk")[:, 0]
-    est, se = _mean_se(losses)
-    return RiskReport("clip_risk", est, se, n, meta)
+    losses = _monte_carlo(n, lambda c, B: _contrastive_batch_losses(
+        model, [score], K, B, stream(seed, "clip-risk", K, c)))
+    return _report("clip_risk", losses[:, 0], meta)
 
 
 def clip_excess_and_mi_limit(model: JghmModel, score, K_list, n: int, seed: int):
@@ -152,15 +157,13 @@ def clip_excess_and_mi_limit(model: JghmModel, score, K_list, n: int, seed: int)
     star = exact_score(model)
     reports = []
     for K in K_list:
-        losses = _contrastive_losses(model, [star, score], K, n, seed, "clip-excess")
+        losses = _monte_carlo(n, lambda c, B: _contrastive_batch_losses(
+            model, [star, score], K, B, stream(seed, "clip-excess", K, c)))
         star_mean, star_se = _mean_se(losses[:, 0])
         reports.append(RiskReport("mi_limit", math.log(K) - 0.5 * star_mean, 0.5 * star_se, n,
                                   {"K": K, "seed": seed, "score": star.name}))
-        diff = losses[:, 1] - losses[:, 0]
-        est, se = _mean_se(diff)
-        reports.append(
-            RiskReport("clip_excess", est, se, n, {"K": K, "seed": seed, "score": score.name})
-        )
+        reports.append(_report("clip_excess", losses[:, 1] - losses[:, 0],
+                               {"K": K, "seed": seed, "score": score.name}))
     return reports
 
 
@@ -222,21 +225,17 @@ def zsc_kl_sweep(model: JghmModel, score, M_list, n: int, seed: int):
     M_list = list(M_list)
     M_max = max(M_list)
     log_prior = np.log(model.root_prior)
-    kls = {M: np.empty(n) for M in M_list}
-    chunk = max(1, min(CHUNK, 65536 // max(1, M_max)))
-    for c, lo, hi in _chunks(n, chunk):
-        images = sample_joint_batch(model, hi - lo, stream(seed, "zsc-images", c)).x_im
+
+    def kls(c, B):  # (B, len(M_list))
+        images = sample_joint_batch(model, B, stream(seed, "zsc-images", c)).x_im
         truth = root_posterior(model, "im", images)
         pair = _class_pair_scores(model, score, images, M_max, stream(seed, "zsc-texts", M_max, c))
-        for M in M_list:
-            kls[M][lo:hi] = kl_rows(truth, _class_prediction(pair[:, :, :M], log_prior))
-    reports = []
-    for M in M_list:
-        est, se = _mean_se(kls[M])
-        reports.append(
-            RiskReport("zsc_kl", est, se, n, {"M": M, "seed": seed, "score": score.name})
-        )
-    return reports
+        return np.stack([kl_rows(truth, _class_prediction(pair[:, :, :M], log_prior))
+                         for M in M_list], axis=1)
+
+    kl = _monte_carlo(n, kls, max(1, min(CHUNK, 65536 // max(1, M_max))))
+    return [_report("zsc_kl", kl[:, j], {"M": M, "seed": seed, "score": score.name})
+            for j, M in enumerate(M_list)]
 
 
 # ---------------------------------------------------------------------------
@@ -258,21 +257,18 @@ def cdm_estimation_error(model: JghmModel, table: JointTable, encoder, t: float,
     x_all = table.tuples_im.astype(float)  # (N_im, d_im)
     suff = _expected_kl(joint, fiber_joint[ids])
 
-    errs = np.empty(n)
-    for c, lo, hi in _chunks(n):
+    def errs(c, B):
         rng = stream(seed, "cdm", c)
-        draws = sample_joint_batch(model, hi - lo, rng)
+        draws = sample_joint_batch(model, B, rng)
         noisy = noise_image(draws.x_im, t, rng)
         m_star = bayes_denoiser(model, noisy, draws.x_tx)
         f = ids[table.index("tx", draws.x_tx)]
         m_hat = _gaussian_tilted_mean(fiber_joint[f], noisy.z, t, x_all)
-        errs[lo:hi] = ((m_star - m_hat) ** 2).mean(axis=1)
-    est, se = _mean_se(errs)
+        return ((m_star - m_hat) ** 2).mean(axis=1)
+
     bound = 2.0 * model.n_states**2 * suff
-    return RiskReport(
-        "cdm_estimation_error", est, se, n,
-        {"t": t, "seed": seed, "encoder": encoder.name, "suff": suff, "bound": bound},
-    )
+    return _report("cdm_estimation_error", _monte_carlo(n, errs),
+                   {"t": t, "seed": seed, "encoder": encoder.name, "suff": suff, "bound": bound})
 
 
 # ---------------------------------------------------------------------------
@@ -348,9 +344,7 @@ def _tag(meta, train_model, test_model, seed):
 
 def _clip_losses(models, B, c, seed, K, t):
     scores = [exact_score(model) for model in models]
-    losses = _contrastive_batch_losses(
-        models[0], scores, K, B, stream(seed, "misspec-clip", K, c))
-    return tuple(losses.T)
+    return _contrastive_batch_losses(models[0], scores, K, B, stream(seed, "misspec-clip", K, c))
 
 
 def _zsc_losses(models, B, c, seed, K, t):
@@ -359,7 +353,8 @@ def _zsc_losses(models, B, c, seed, K, t):
     draws = sample_joint_batch(models[0], B, stream(seed, "misspec-zsc-data", c))
     idx = (np.arange(B), draws.root - 1)
     with np.errstate(divide="ignore"):
-        return tuple(-np.log(root_posterior(model, "im", draws.x_im)[idx]) for model in models)
+        return np.stack([-np.log(root_posterior(model, "im", draws.x_im)[idx])
+                         for model in models], axis=1)
 
 
 def _cdm_losses(models, B, c, seed, K, t):
@@ -367,8 +362,8 @@ def _cdm_losses(models, B, c, seed, K, t):
     draws = sample_joint_batch(models[0], B, rng)
     noisy = noise_image(draws.x_im, t, rng)
     x = draws.x_im.astype(float)
-    return tuple(((x - bayes_denoiser(model, noisy, draws.x_tx)) ** 2).mean(axis=1)
-                 for model in models)
+    return np.stack([((x - bayes_denoiser(model, noisy, draws.x_tx)) ** 2).mean(axis=1)
+                     for model in models], axis=1)
 
 
 def _vlm_losses(models, B, c, seed, K, t):
@@ -376,10 +371,11 @@ def _vlm_losses(models, B, c, seed, K, t):
     # -log P(x_tx | x_im) / d_tx
     draws = sample_joint_batch(models[0], B, stream(seed, "misspec-vlm", c))
     d_tx = models[0].topology.d_tx
-    return tuple(-text_log_likelihood(model, draws.x_im, draws.x_tx) / d_tx for model in models)
+    return np.stack([-text_log_likelihood(model, draws.x_im, draws.x_tx) / d_tx
+                     for model in models], axis=1)
 
 
-# task -> (per-row losses of one chunk, one array per model, for the distinct
+# task -> (per-row losses of one chunk, (B, len(models)), for the distinct
 #          models (test, [train]) on data drawn from the test model; risk
 #          report name; excess report name; evaluation parameters carried in
 #          the metadata)
@@ -406,14 +402,11 @@ def misspec_bp_eval(train_model: JghmModel, test_model: JghmModel, task: str,
         raise ModelError(f"unknown task {task!r}; expected {', '.join(MISSPEC_TASKS)}")
     task_losses, risk_name, excess_name, params = MISSPEC_TASKS[task]
     models = (test_model,) if train_model is test_model else (test_model, train_model)
-    losses = np.empty((len(models), n))
-    for c, lo, hi in _chunks(n):
-        losses[:, lo:hi] = task_losses(models, hi - lo, c, seed, K, t)
-    bayes, risk = losses[0], losses[-1]
+    losses = _monte_carlo(n, lambda c, B: task_losses(models, B, c, seed, K, t))
+    bayes, risk = losses[:, 0], losses[:, -1]
     values = {"K": K, "t": t}
     meta = {key: values[key] for key in params}
     matched = _tag(meta, test_model, test_model, seed)
     paired = _tag(meta, train_model, test_model, seed)
-    return MisspecResult(RiskReport(risk_name, *_mean_se(bayes), n, matched),
-                         RiskReport(risk_name, *_mean_se(risk), n, paired),
-                         RiskReport(excess_name, *_mean_se(risk - bayes), n, paired))
+    return MisspecResult(_report(risk_name, bayes, matched), _report(risk_name, risk, paired),
+                         _report(excess_name, risk - bayes, paired))

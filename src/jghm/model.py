@@ -26,7 +26,6 @@ __all__ = [
     "ModelGenSpec",
     "ModelError",
     "by_modality",
-    "leaf_index",
     "validate_kernel",
     "validate_model",
     "PflipDraws",
@@ -131,26 +130,6 @@ class TreeTopology:
 
     def total_nodes(self) -> int:
         return 1 + sum(self.level_sizes("im")) + sum(self.level_sizes("tx"))
-
-
-def leaf_index(topology: TreeTopology, modality: str, path) -> int:
-    """Map a rank path (iota_1, ..., iota_L) to the canonical leaf number.
-
-    Ranks are 1-based; the returned index lies in {1..d}. The numbering is
-    mixed-radix with the level-1 rank most significant, so sibling subtrees
-    occupy contiguous index blocks.
-    """
-    ms = topology.branching(modality)
-    path = tuple(int(i) for i in path)
-    if len(path) != topology.depth:
-        raise ModelError(f"rank path must have {topology.depth} entries, got {len(path)}")
-    for level, (rank, m) in enumerate(zip(path, ms), start=1):
-        if not 1 <= rank <= m:
-            raise ModelError(f"rank {rank} out of range [1, {m}] at level {level}")
-    index = 0
-    for rank, m in zip(path, ms):
-        index = index * m + (rank - 1)
-    return index + 1
 
 
 def validate_kernel(kernel: np.ndarray):

@@ -108,13 +108,18 @@ class JointTable:
 
     def index(self, modality: str, leaves) -> np.ndarray:
         """Row of each leaf tuple (batch-aware) in this modality's tables; a
-        tuple of another length or a state outside [1, S] raises ModelError."""
+        tuple of another length, a non-integer dtype or a state outside
+        [1, S] raises ModelError."""
         leaves, d, S = np.asarray(leaves), self.tuples(modality).shape[1], self.n_states
-        wrong_shape = leaves.shape[-1:] != (d,)
-        if wrong_shape or leaves.size and not (leaves.min() >= 1 and leaves.max() <= S):
-            got = f"shape {leaves.shape}" if wrong_shape else f"states {leaves.min()}..{leaves.max()}"
-            raise ModelError(f"{modality} leaves must be tuples of {d} states in [1, {S}], got {got}")
-        return encode_leaves(leaves, S)
+        if leaves.shape[-1:] != (d,):
+            got = f"shape {leaves.shape}"
+        elif leaves.size and not np.issubdtype(leaves.dtype, np.integer):
+            got = f"dtype {leaves.dtype}"
+        elif leaves.size and not (leaves.min() >= 1 and leaves.max() <= S):
+            got = f"states {leaves.min()}..{leaves.max()}"
+        else:
+            return encode_leaves(leaves, S)
+        raise ModelError(f"{modality} leaves must be tuples of {d} states in [1, {S}], got {got}")
 
 
 def enumerate_joint(model: JghmModel, budget: int = DEFAULT_BUDGET) -> JointTable:
@@ -268,13 +273,16 @@ def next_token_from_weights(table: JointTable, weights: np.ndarray, prefix) -> n
 
     `weights[j]` must be proportional to P(x_tx = tuple_j | context); the
     result is P(x_tx,i+1 | context, prefix) for the given observed prefix,
-    which must hold at most d_tx - 1 states in [1, S] (else ModelError).
+    which must hold at most d_tx - 1 integer states in [1, S] (else
+    ModelError); the empty prefix may have any dtype.
     """
-    prefix = np.asarray(prefix, dtype=np.int64).reshape(-1)
+    prefix = np.asarray(prefix).reshape(-1)
     tuples, S = table.tuples_tx, table.n_states
     i, d = len(prefix), tuples.shape[1]
     if i > d - 1:
         raise ModelError(f"prefix length {i} exceeds d_tx - 1 = {d - 1}")
+    if i and not np.issubdtype(prefix.dtype, np.integer):
+        raise ModelError(f"prefix tokens must be integer states, got dtype {prefix.dtype}")
     if i and (prefix.min() < 1 or prefix.max() > S):
         raise ModelError(f"prefix values must lie in [1, {S}], got {prefix.min()}..{prefix.max()}")
     mask = np.ones(len(tuples), dtype=bool)

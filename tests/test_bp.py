@@ -363,6 +363,16 @@ class TestImageDrift:
                 np.errstate(over="ignore", invalid="ignore"):
             conditioned_denoiser(ref_model, x_tx)(noisy)
 
+    @pytest.mark.parametrize("shape", [(0, 4), (2, 0, 4)])
+    def test_public_denoiser_names_an_empty_batch(self, ref_model, shape):
+        x_tx = sample_joint(ref_model, stream(44, "rej")).x_tx
+        noisy = NoisyImage(t=1.0, z=np.zeros(shape))
+        message = rf"empty batch of noisy images, shape \({shape[0]}, {shape[1]}"
+        with pytest.raises(ModelError, match=message):
+            conditioned_denoiser(ref_model, x_tx)(noisy)
+        with pytest.raises(ModelError, match=message):
+            bayes_denoiser(ref_model, noisy, x_tx)
+
 
 class TestNextToken:
     def test_permutation_one_hot(self, perm_model):

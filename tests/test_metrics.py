@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -20,7 +22,7 @@ from jghm.encoders import (
     exact_score,
 )
 from jghm import metrics
-from jghm.metrics import CHUNK, RiskReport, zsc_infinite_sample_predict
+from jghm.metrics import CHUNK, RiskReport, _monte_carlo, zsc_infinite_sample_predict
 from jghm.model import ModelError, ModelGenSpec, make_pflip_model
 from jghm.oracle import (
     exact_denoiser,
@@ -47,6 +49,62 @@ class TestRiskReport:
         row = r.csv_row()
         assert row[0] == "zsc_kl" and len(row) == 10
         assert row[5] == "16" and row[9] == "3"
+
+
+class TestMonteCarlo:
+    """The one chunk loop behind every Monte-Carlo estimator and the SDE."""
+
+    @pytest.mark.parametrize("size", [CHUNK, 7])
+    @pytest.mark.parametrize("n_of", [lambda s: 1, lambda s: s, lambda s: s + 1, lambda s: 3 * s + 2],
+                             ids=["1", "size", "size+1", "3size+2"])
+    def test_blocks_in_chunk_order(self, size, n_of):
+        n = n_of(size)
+        calls, blocks = [], []
+
+        def rows(c, B):
+            calls.append((c, B))
+            blocks.append(np.stack([np.full(B, c), np.arange(B)], axis=1))
+            return blocks[-1]
+
+        out = _monte_carlo(n, rows, size)
+        k = -(-n // size)
+        assert calls == [(c, size) for c in range(k - 1)] + [(k - 1, n - (k - 1) * size)]
+        assert out.shape == (n, 2) and np.array_equal(out, np.concatenate(blocks))
+
+    @pytest.mark.parametrize("estimate", [
+        lambda m, table: clip_risk(m, exact_score(m), 4, 0, seed=0),
+        lambda m, table: clip_excess_and_mi_limit(m, coarsened_score(m), [4], 0, seed=0),
+        lambda m, table: zsc_kl_sweep(m, exact_score(m), [4], 0, seed=0),
+        lambda m, table: cdm_estimation_error(m, table, constant_encoder(m, "tx"), 1.0, 0, seed=0),
+        *[lambda m, table, task=task: misspec_bp_eval(m, m, task, n=0) for task in metrics.MISSPEC_TASKS],
+    ], ids=["clip_risk", "clip_excess", "zsc_kl", "cdm", *[f"misspec-{task}" for task in metrics.MISSPEC_TASKS]])
+    def test_no_rows_raises_before_any_warning(self, ref_model, ref_table, estimate):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ModelError, match="n >= 1"):
+                estimate(ref_model, ref_table)
+
+    def test_multi_chunk_estimates_bitwise_pinned(self, ref_model, ref_table):
+        """float.hex of estimate and se of multi-chunk runs, taken before the
+        estimators moved onto the one chunk loop: clip 2 chunks, zsc 4 chunks
+        of 65536 // 300 = 218 rows, cdm 3 chunks."""
+        def hexes(reports):
+            return [(r.name, r.estimate.hex(), r.se.hex()) for r in reports]
+
+        score = coarsened_score(ref_model)
+        assert hexes([clip_risk(ref_model, score, 4, 1100, seed=41)]) == [
+            ("clip_risk", "0x1.45bdd5dc334a4p+1", "0x1.8f140d14d2015p-6")]
+        assert hexes(clip_excess_and_mi_limit(ref_model, score, [2, 8], 1100, seed=42)) == [
+            ("mi_limit", "0x1.16f0746e94b68p-3", "0x1.8b6c8be1d2681p-7"),
+            ("clip_excess", "0x1.b8fc8a2425c02p-4", "0x1.e50e914728a3cp-7"),
+            ("mi_limit", "0x1.fd68b6edc2688p-3", "0x1.1c71d75604562p-6"),
+            ("clip_excess", "0x1.bdf174ac2c428p-3", "0x1.59fbdea3d2829p-6")]
+        assert hexes(zsc_kl_sweep(ref_model, score, [4, 300], 700, seed=43)) == [
+            ("zsc_kl", "0x1.5b88c7834cd5ep-2", "0x1.2a36c0641e019p-7"),
+            ("zsc_kl", "0x1.52666381a1d08p-2", "0x1.0f9f2e503350fp-7")]
+        encoder = coarsened_root_encoder(ref_model, "tx")
+        assert hexes([cdm_estimation_error(ref_model, ref_table, encoder, t=0.7, n=2100, seed=44)]) == [
+            ("cdm_estimation_error", "0x1.efce8962da5a3p-7", "0x1.2c402d89b6026p-11")]
 
 
 class TestClipRisk:

@@ -1,5 +1,4 @@
 import dataclasses
-import itertools
 import json
 
 import numpy as np
@@ -15,7 +14,6 @@ from jghm.model import (
     ModelGenSpec,
     TreeTopology,
     effective_b_psi,
-    leaf_index,
     make_pflip_model,
     mix_pflip,
     model_from_json,
@@ -65,38 +63,6 @@ class TestTopology:
                          n_states=np.uint8(3))
         assert t == topo(m_im=(2, 3), m_tx=(3, 1))
         assert all(type(v) is int for v in (t.depth, t.n_states, *t.m_im, *t.m_tx))
-
-
-class TestLeafIndex:
-    def test_first_and_last(self):
-        t = topo()
-        assert leaf_index(t, "im", (1, 1)) == 1
-        assert leaf_index(t, "im", (2, 2)) == 4
-
-    def test_numbering_formula(self):
-        # direct evaluation: child rank + m * (parent rank - 1)
-        t = topo(m_im=(3, 3), m_tx=(3, 3))
-        assert leaf_index(t, "im", (2, 3)) == 3 + 3 * (2 - 1)
-
-    def test_out_of_range(self):
-        with pytest.raises(ModelError):
-            leaf_index(topo(), "im", (3, 1))
-        with pytest.raises(ModelError):
-            leaf_index(topo(), "tx", (1,))
-
-    @pytest.mark.parametrize("ms", [(2, 2), (3, 2), (1, 4), (2, 3, 2)])
-    def test_bijection_exhaustive(self, ms):
-        t = TreeTopology(depth=len(ms), m_im=ms, m_tx=ms, n_states=2)
-        seen = [leaf_index(t, "im", path) for path in itertools.product(*[range(1, m + 1) for m in ms])]
-        assert sorted(seen) == list(range(1, int(np.prod(ms)) + 1))
-
-    @given(st.lists(st.integers(min_value=1, max_value=4), min_size=1, max_size=4), st.data())
-    @settings(max_examples=50, deadline=None)
-    def test_index_within_range(self, ms, data):
-        t = TreeTopology(depth=len(ms), m_im=tuple(ms), m_tx=tuple(ms), n_states=2)
-        path = [data.draw(st.integers(min_value=1, max_value=m)) for m in ms]
-        idx = leaf_index(t, "im", path)
-        assert 1 <= idx <= t.d_im
 
 
 def uniform_model(S=3):

@@ -69,11 +69,12 @@ class TestJointTable:
 
     @pytest.mark.parametrize("leaves, got", [
         ([1, 2, 3], r"shape \(3,\)"), ([1, 2, 3, 4], "states 1..4"), ([0, 3, 3, 3], "states 0..3"),
-        ([[1, 1, 1, 1], [1, 1, 1, 4]], "states 1..4"),
-    ], ids=["3-leaves", "state-4", "state-0", "batch"])
+        ([[1, 1, 1, 1], [1, 1, 1, 4]], "states 1..4"), ([1.7, 1, 1, 1], "dtype float64"),
+    ], ids=["3-leaves", "state-4", "state-0", "batch", "float"])
     def test_wrong_leaf_tuple_raises(self, ref_table, leaves, got):
-        """A tuple of another length or with a state outside [1, S] names the
-        modality, the leaf count and the range; it is never read as another."""
+        """A tuple of another length, of a non-integer dtype or with a state
+        outside [1, S] names the modality, the leaf count and the range; it is
+        never read as another."""
         def match(modality):
             return rf"{modality} leaves must be tuples of 4 states in \[1, 3\], got {got}"
 
@@ -227,12 +228,16 @@ class TestExactNextToken:
         for i in range(4):
             post = exact_next_token(ref_table, s.x_im[0], s.x_tx[0][:i])
             assert post.sum() == pytest.approx(1.0)
+        # the empty prefix may be float64, as np.asarray([]) is
+        assert np.array_equal(exact_next_token(ref_table, s.x_im[0], []),
+                              exact_next_token(ref_table, s.x_im[0], s.x_tx[0][:0]))
 
     @pytest.mark.parametrize("prefix, message", [
         ([4], r"prefix values must lie in \[1, 3\], got 4\.\.4"),
         ([0], r"prefix values must lie in \[1, 3\], got 0\.\.0"),
         ([1, 1, 1, 1], "prefix length 4 exceeds d_tx - 1 = 3"),
         ([1, 1, 1, 1, 1], "prefix length 5 exceeds d_tx - 1 = 3"),
+        ([1.7], "prefix tokens must be integer states, got dtype float64"),
     ])
     def test_prefix_checked_before_use(self, ref_table, prefix, message):
         with pytest.raises(ModelError, match=message):
