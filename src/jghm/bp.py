@@ -52,7 +52,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import JghmModel, ModelError, TreePlan, effective_b_psi
+from .model import JghmModel, ModelError, TreePlan, _checked_prefix, effective_b_psi
 from .sampler import NoisyImage, check_time
 
 __all__ = [
@@ -476,16 +476,9 @@ def next_token_posterior_bp(model: JghmModel, x_im: np.ndarray, prefix) -> np.nd
     `prefix` holds the first i observed text tokens (possibly empty);
     unobserved positions contribute the uninformative all-zero belief.
     """
-    topo = model.topology
-    prefix = np.asarray(prefix).reshape(-1)
-    d = topo.d_tx
+    d = model.topology.d_tx
+    prefix = _checked_prefix(prefix, d, model.n_states)
     i = len(prefix)
-    if i > d - 1:
-        raise ModelError(f"prefix length {i} exceeds d_tx - 1 = {d - 1}")
-    if i and not np.issubdtype(prefix.dtype, np.integer):
-        raise ModelError(f"prefix tokens must be integer states, got dtype {prefix.dtype}")
-    if i and (prefix.min() < 1 or prefix.max() > model.n_states):
-        raise ModelError(f"prefix values must lie in [1, {model.n_states}]")
     ev = np.zeros((d, model.n_states))
     if i:
         ev[:i] = evidence_from_states(prefix, model.n_states)

@@ -14,6 +14,7 @@ the sample count.
 """
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -220,9 +221,15 @@ def zsc_kl_sweep(model: JghmModel, score, M_list, n: int, seed: int):
     for each M of an M sweep with nested text samples.
 
     The same images serve every M, and the texts for smaller M are prefixes
-    of the largest draw, so the sweep is maximally paired.
+    of the largest draw, so the sweep is maximally paired. An empty M_list,
+    or an entry that is not an integer >= 1, raises ModelError.
     """
     M_list = list(M_list)
+    if not M_list:
+        raise ModelError("zsc_kl_sweep needs a non-empty M_list")
+    for j, M in enumerate(M_list):
+        if isinstance(M, bool) or not isinstance(M, numbers.Integral) or M < 1:
+            raise ModelError(f"M_list[{j}] must be an integer >= 1, got {M!r}")
     M_max = max(M_list)
     log_prior = np.log(model.root_prior)
 
@@ -233,7 +240,7 @@ def zsc_kl_sweep(model: JghmModel, score, M_list, n: int, seed: int):
         return np.stack([kl_rows(truth, _class_prediction(pair[:, :, :M], log_prior))
                          for M in M_list], axis=1)
 
-    kl = _monte_carlo(n, kls, max(1, min(CHUNK, 65536 // max(1, M_max))))
+    kl = _monte_carlo(n, kls, max(1, min(CHUNK, 65536 // M_max)))
     return [_report("zsc_kl", kl[:, j], {"M": M, "seed": seed, "score": score.name})
             for j, M in enumerate(M_list)]
 

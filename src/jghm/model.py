@@ -132,6 +132,20 @@ class TreeTopology:
         return 1 + sum(self.level_sizes("im")) + sum(self.level_sizes("tx"))
 
 
+def _checked_prefix(prefix, d_tx: int, S: int) -> np.ndarray:
+    """`prefix` as a flat array of at most d_tx - 1 integer states in [1, S],
+    else ModelError; the empty prefix may have any dtype."""
+    prefix = np.asarray(prefix).reshape(-1)
+    i = len(prefix)
+    if i > d_tx - 1:
+        raise ModelError(f"prefix length {i} exceeds d_tx - 1 = {d_tx - 1}")
+    if i and not np.issubdtype(prefix.dtype, np.integer):
+        raise ModelError(f"prefix tokens must be integer states, got dtype {prefix.dtype}")
+    if i and (prefix.min() < 1 or prefix.max() > S):
+        raise ModelError(f"prefix values must lie in [1, {S}], got {prefix.min()}..{prefix.max()}")
+    return prefix
+
+
 def validate_kernel(kernel: np.ndarray):
     """Return the list of value-invariant violations for one transition
     kernel (JghmModel checks its shape)."""
@@ -155,8 +169,8 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TreePlan:
-    """The tables the sampler and BP read for one tree, one entry per level
-    1..L; built once per model and read-only.
+    """The tables the sampler and BP read for one tree, one array per level
+    1..L; built once per model from the kernel stacks and read-only.
 
     branching  the number of children per node at each level (m per level);
     ones       (S,) ones, the vector BP's totals are a matvec with.
@@ -183,30 +197,48 @@ class TreePlan:
 
 def _tree_plan(levels, S: int) -> TreePlan:
     cum, down, up, columns = [], [], [], []
-    for level in levels:
-        m = len(level)
+    for k in levels:  # one (m, S, S) stack per level
+        m = len(k)
         with np.errstate(over="ignore"):  # entries near the float max; validate_model names them
-            cum.append(_frozen(np.cumsum(np.stack(level), axis=2)))
-        d, u = np.zeros((m * S, m * S)), np.zeros((m * S, m * S))
-        for j, kernel in enumerate(level):
-            d[j * S:(j + 1) * S, j * S:(j + 1) * S] = kernel.T
-            u[j * S:(j + 1) * S, j * S:(j + 1) * S] = kernel
-        down.append(_frozen(d))
+            cum.append(_frozen(np.cumsum(k, axis=2)))
+        u = np.zeros((m * S, m * S))
+        u.reshape(m, S, m, S)[np.arange(m), :, np.arange(m), :] = k  # block (j, j) is k[j]
         up.append(_frozen(u))
-        columns.append(_frozen(np.concatenate([kernel.T for kernel in level])))
-    return TreePlan(tuple(len(level) for level in levels), _frozen(np.ones(S)),
+        down.append(_frozen(u.T.copy()))  # the block diagonal of the k[j].T
+        columns.append(_frozen(np.concatenate(k.transpose(0, 2, 1))))
+    return TreePlan(tuple(len(k) for k in levels), _frozen(np.ones(S)),
                     tuple(cum), tuple(down), tuple(up), tuple(columns))
+
+
+def _level(name: str, level_idx: int, level, m: int, S: int) -> np.ndarray:
+    """One level as a fresh frozen (m, S, S) float array, else ModelError
+    naming the first rank that is not S x S, or the level (a wrong count)."""
+    try:
+        k = np.array(level, dtype=float)  # a copy: a frozen view of a writable base could change
+        if k.shape == (m, S, S):
+            return _frozen(k)
+    except (TypeError, ValueError):  # ragged ranks or rows, or not numbers: named below
+        pass
+    for rank, kernel in enumerate(level, start=1):
+        try:
+            shape = np.array(kernel, dtype=float).shape
+        except (TypeError, ValueError):
+            raise ModelError(f"{name}[{level_idx}][{rank}]: kernel is not a ({S}, {S}) "
+                             f"array of numbers") from None
+        if shape != (S, S):
+            raise ModelError(f"{name}[{level_idx}][{rank}]: kernel shape {shape} != ({S}, {S})")
+    raise ModelError(f"{name}[{level_idx}] must have {m} kernels, got {len(level)}")
 
 
 @dataclass(frozen=True)
 class JghmModel:
     """A full parameterization: topology, root prior, per-level kernels.
 
-    ``kernels_im[l][i]`` is the kernel for children of rank i+1 at level l+1
-    of the image tree (likewise ``kernels_tx``). Instances are immutable;
-    all arrays are frozen at construction, and so is the plan of tables the
-    sampler and BP read (``plan(modality)``, ``root_cum``: the cumulative
-    root prior).
+    ``kernels_im[l]`` is one (m, S, S) array, level l+1 of the image tree:
+    ``kernels_im[l][i]`` is the kernel of its rank-(i+1) children (likewise
+    ``kernels_tx``). Instances are immutable; all arrays are copied and
+    frozen at construction, and so is the plan of tables the sampler and BP
+    read (``plan(modality)``, ``root_cum``: the cumulative root prior).
     """
 
     topology: TreeTopology
@@ -232,20 +264,9 @@ class JghmModel:
             given = getattr(self, name)
             if len(given) != topo.depth:
                 raise ModelError(f"{name} must have {topo.depth} levels, got {len(given)}")
-            levels = []
-            for level_idx, (level, m) in enumerate(zip(given, topo.branching(modality)), start=1):
-                if len(level) != m:
-                    raise ModelError(f"{name} level {level_idx} must have {m} kernels, "
-                                     f"got {len(level)}")
-                ks = []
-                for rank, k in enumerate(level, start=1):
-                    k = _frozen(np.asarray(k, dtype=float).copy())
-                    if k.shape != (S, S):
-                        raise ModelError(f"{name}[{level_idx}][{rank}]: "
-                                         f"kernel shape {k.shape} != ({S}, {S})")
-                    ks.append(k)
-                levels.append(tuple(ks))
-            object.__setattr__(self, name, tuple(levels))
+            levels = tuple(_level(name, level_idx, level, m, S) for level_idx, (level, m)
+                           in enumerate(zip(given, topo.branching(modality)), start=1))
+            object.__setattr__(self, name, levels)
             object.__setattr__(self, f"plan_{modality}", _tree_plan(levels, S))
 
     def kernels(self, modality: str) -> tuple:
@@ -265,14 +286,9 @@ def effective_b_psi(model: JghmModel) -> float:
     Models containing exact zeros (e.g. p_flip = 0) have no finite bound;
     returns inf for those.
     """
-    lo, hi = np.inf, 0.0
-    arrays = [model.root_prior]
-    for modality in MODALITIES:
-        for level in model.kernels(modality):
-            arrays.extend(level)
-    for a in arrays:
-        lo = min(lo, float(a.min()))
-        hi = max(hi, float(a.max()))
+    arrays = (model.root_prior, *model.kernels_im, *model.kernels_tx)
+    lo = min(float(a.min()) for a in arrays)
+    hi = max(float(a.max()) for a in arrays)
     if lo <= 0.0:
         return np.inf
     return max(hi, 1.0 / lo)
@@ -344,28 +360,29 @@ class ModelGenSpec:
 
 
 def _softmax_rows(g: np.ndarray) -> np.ndarray:
-    z = np.exp(g - g.max(axis=1, keepdims=True))
-    return z / z.sum(axis=1, keepdims=True)
+    z = np.exp(g - g.max(axis=-1, keepdims=True))
+    return z / z.sum(axis=-1, keepdims=True)
 
 
-def _kernel_draws(spec: ModelGenSpec, modality: str, level: int, rank: int):
-    """(P, softmax_rows(G)) of one kernel, from its own stream."""
+def _level_draws(spec: ModelGenSpec, modality: str, level: int, m: int):
+    """(P, softmax_rows(G)) of the m kernels of one level, each stacked
+    (m, S, S); every rank draws from its own stream."""
     S = spec.topology.n_states
-    rng = stream(spec.seed, "pflip-kernel", modality, level, rank)
-    perm = rng.permutation(S)
-    g = rng.standard_normal((S, S)) * spec.gaussian_scale
-    pi = np.zeros((S, S))
-    pi[np.arange(S), perm] = 1.0
-    return _frozen(pi), _frozen(_softmax_rows(g))
+    pi, g = np.zeros((m, S, S)), np.empty((m, S, S))
+    for rank in range(m):
+        rng = stream(spec.seed, "pflip-kernel", modality, level, rank + 1)
+        pi[rank, np.arange(S), rng.permutation(S)] = 1.0
+        g[rank] = rng.standard_normal((S, S))
+    return _frozen(pi), _frozen(_softmax_rows(g * spec.gaussian_scale))
 
 
 @dataclass(frozen=True)
 class PflipDraws:
     """The random part of the kernel family for one (topology, seed,
-    gaussian_scale): ``draws_im[l][i]`` is the pair (P, softmax_rows(G)) of
-    the rank-(i+1) kernel at level l+1 of the image tree (likewise
-    ``draws_tx``). Every array is frozen, so threads may mix models from one
-    instance concurrently.
+    gaussian_scale): ``draws_im[l]`` is the pair (P, softmax_rows(G)) of
+    level l+1 of the image tree, each one (m, S, S) array whose [i] belongs
+    to the rank-(i+1) kernel (likewise ``draws_tx``). Every array is frozen,
+    so threads may mix models from one instance concurrently.
     """
 
     topology: TreeTopology
@@ -386,18 +403,17 @@ def pflip_draws(spec: ModelGenSpec) -> PflipDraws:
     non-finite entries raises ModelError.
     """
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is caught below
-        trees = [tuple(tuple(_kernel_draws(spec, modality, level, rank) for rank in range(1, m + 1))
+        trees = [tuple(_level_draws(spec, modality, level, m)
                        for level, m in enumerate(spec.topology.branching(modality), start=1))
                  for modality in MODALITIES]
     # a finite softmax row stays finite in every mix; a nan stays nan even at p = 0
-    if not all(np.isfinite(soft).all() for levels in trees for level in levels
-               for _, soft in level):
+    if not all(np.isfinite(soft).all() for levels in trees for _, soft in levels):
         raise ModelError(f"gaussian_scale: {spec.gaussian_scale!r} overflows the kernel draws")
     return PflipDraws(spec.topology, spec.seed, spec.gaussian_scale, *trees)
 
 
 def mix_pflip(draws: PflipDraws, spec: ModelGenSpec) -> JghmModel:
-    """The spec's model, each kernel mixed (1 - p) * P + p * softmax_rows(G)
+    """The spec's model, each level mixed (1 - p) * P + p * softmax_rows(G)
     from `draws`. Draws made for another topology, seed or gaussian_scale
     raise ModelError.
 
@@ -411,8 +427,7 @@ def mix_pflip(draws: PflipDraws, spec: ModelGenSpec) -> JghmModel:
     kernels = {}
     for modality in MODALITIES:
         p = spec.mixing(modality)
-        kernels[modality] = tuple(tuple((1.0 - p) * pi + p * soft for pi, soft in level)
-                                  for level in draws.levels(modality))
+        kernels[modality] = tuple((1.0 - p) * pi + p * soft for pi, soft in draws.levels(modality))
     metadata = {
         "family": "pflip",
         "p_flip": float(spec.p_flip),
@@ -452,8 +467,8 @@ def model_to_json(model: JghmModel) -> str:
             "n_states": topo.n_states,
         },
         "root_prior": model.root_prior.tolist(),
-        "kernels_im": [[k.tolist() for k in level] for level in model.kernels_im],
-        "kernels_tx": [[k.tolist() for k in level] for level in model.kernels_tx],
+        "kernels_im": [level.tolist() for level in model.kernels_im],
+        "kernels_tx": [level.tolist() for level in model.kernels_tx],
         "metadata": model.metadata,
     }
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))
@@ -483,12 +498,6 @@ def _numbers(value, depth: int):
     return value
 
 
-def _kernels_from_json(levels) -> tuple:
-    """levels -> kernels -> rows -> entries, one float array per kernel."""
-    return tuple(tuple(np.array(k, dtype=float) for k in level)
-                 for level in _numbers(levels, 4))
-
-
 def topology_from_json(t) -> TreeTopology:
     """Read the topology object of a config or a model file. A non-object or
     a missing key raises ModelError; TreeTopology checks every value."""
@@ -502,7 +511,7 @@ def topology_from_json(t) -> TreeTopology:
 
 def model_from_json(text: str) -> JghmModel:
     """Parse a `model_to_json` document. Anything that is not one, a
-    malformed field included, raises ModelError."""
+    malformed field or kernel level included, raises ModelError."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
@@ -518,7 +527,7 @@ def model_from_json(text: str) -> JghmModel:
     return JghmModel(
         topology=_field(doc, "topology", topology_from_json),
         root_prior=_field(doc, "root_prior", lambda p: np.array(_numbers(p, 1), dtype=float)),
-        kernels_im=_field(doc, "kernels_im", _kernels_from_json),
-        kernels_tx=_field(doc, "kernels_tx", _kernels_from_json),
+        kernels_im=_field(doc, "kernels_im", lambda k: _numbers(k, 4)),
+        kernels_tx=_field(doc, "kernels_tx", lambda k: _numbers(k, 4)),
         metadata=metadata,
     )

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import JghmModel, ModelError, by_modality
+from .model import JghmModel, ModelError, _checked_prefix, by_modality
 
 __all__ = [
     "DEFAULT_BUDGET",
@@ -276,15 +276,9 @@ def next_token_from_weights(table: JointTable, weights: np.ndarray, prefix) -> n
     which must hold at most d_tx - 1 integer states in [1, S] (else
     ModelError); the empty prefix may have any dtype.
     """
-    prefix = np.asarray(prefix).reshape(-1)
     tuples, S = table.tuples_tx, table.n_states
-    i, d = len(prefix), tuples.shape[1]
-    if i > d - 1:
-        raise ModelError(f"prefix length {i} exceeds d_tx - 1 = {d - 1}")
-    if i and not np.issubdtype(prefix.dtype, np.integer):
-        raise ModelError(f"prefix tokens must be integer states, got dtype {prefix.dtype}")
-    if i and (prefix.min() < 1 or prefix.max() > S):
-        raise ModelError(f"prefix values must lie in [1, {S}], got {prefix.min()}..{prefix.max()}")
+    prefix = _checked_prefix(prefix, tuples.shape[1], S)
+    i = len(prefix)
     mask = np.ones(len(tuples), dtype=bool)
     for v in range(i):
         mask &= tuples[:, v] == prefix[v]

@@ -222,7 +222,16 @@ class TestExportDataset:
         (lambda doc: json.dumps({**doc, "root_prior": "x"}), "root_prior"),
         (lambda doc: json.dumps({**doc, "kernels_im": 5}), "kernels_im"),
         (lambda doc: json.dumps([doc]), "JSON object"),
-    ], ids=["not-json", "no-depth", "root-prior-string", "kernels-number", "list"])
+        (lambda doc: json.dumps(_with(("kernels_tx", 0, 1, 1), [0.5, 0.5])),
+         "kernels_tx[1][2]: kernel is not a (3, 3) array of numbers"),
+        (lambda doc: json.dumps(_with(("kernels_tx", 1), MODEL_DOC["kernels_tx"][1][:1])),
+         "kernels_tx[2] must have 2 kernels, got 1"),
+        (lambda doc: json.dumps(_with(("kernels_im", 1, 0), [[0.5, 0.5], [0.5, 0.5]])),
+         "kernels_im[2][1]: kernel shape (2, 2) != (3, 3)"),
+        (lambda doc: json.dumps(_with(("kernels_im", 0, 1), MODEL_DOC["kernels_im"][0][1][:2])),
+         "kernels_im[1][2]: kernel shape (2, 3) != (3, 3)"),
+    ], ids=["not-json", "no-depth", "root-prior-string", "kernels-number", "list", "ragged-row",
+            "missing-rank", "ragged-rank", "missing-row"])
     def test_malformed_model_file_exits_2(self, workdir, malformed, named):
         doc = json.loads(model_to_json(make_pflip_model(
             ModelGenSpec(topology=TreeTopology(**TOPO), p_flip=0.3, seed=3))))

@@ -205,6 +205,23 @@ class TestZsc:
         r = zsc_kl_sweep(zsc_model, score, [4096], 600, seed=14)[0]
         assert r.estimate <= suff + 0.02
 
+    @pytest.mark.parametrize("M_list, message", [
+        ([], "needs a non-empty M_list"),
+        ([0], r"M_list\[0\] must be an integer >= 1, got 0"),
+        ([4, -1], r"M_list\[1\] must be an integer >= 1, got -1"),
+        ([2.5], r"M_list\[0\] must be an integer >= 1, got 2\.5"),
+        ([True], r"M_list\[0\] must be an integer >= 1, got True"),
+        ([4, "8"], r"M_list\[1\] must be an integer >= 1, got '8'"),
+    ], ids=["empty", "zero", "negative", "float", "bool", "string"])
+    def test_kl_sweep_names_a_bad_m(self, ref_model, M_list, message):
+        with pytest.raises(ModelError, match=message):
+            zsc_kl_sweep(ref_model, exact_score(ref_model), M_list, 10, seed=0)
+
+    def test_kl_sweep_takes_numpy_integers(self, ref_model):
+        score = exact_score(ref_model)
+        assert zsc_kl_sweep(ref_model, score, np.array([2, 3]), 10, seed=0) == \
+            zsc_kl_sweep(ref_model, score, [2, 3], 10, seed=0)
+
     def test_kl_grows_with_mixing(self):
         # low mixing: text pins the root and the classifier is near exact
         topo = reference_topology()

@@ -1,4 +1,6 @@
 import dataclasses
+import hashlib
+import itertools
 import json
 
 import numpy as np
@@ -22,6 +24,7 @@ from jghm.model import (
     validate_model,
 )
 from jghm.oracle import exact_conditional_root
+from jghm.presets import REFERENCE_SEED, large_scale_topology
 from jghm.rng import stream
 from jghm.sampler import sample_marginal_leaves
 
@@ -212,7 +215,7 @@ def _bits(model):
     """Every array and the metadata of a model, as bytes and dicts."""
     arrays = [model.root_prior, model.root_cum]
     for modality in ("im", "tx"):
-        arrays.extend(k for level in model.kernels(modality) for k in level)
+        arrays.extend(model.kernels(modality))  # one (m, S, S) stack per level
         plan = model.plan(modality)
         arrays.extend(a for table in (plan.cum, plan.down, plan.up, plan.columns) for a in table)
     return [(a.shape, a.tobytes()) for a in arrays], model.metadata
@@ -240,17 +243,51 @@ class TestSharedDraws:
             mix_pflip(draws, spec)
 
     def test_draws_are_frozen(self):
-        draws = pflip_draws(ModelGenSpec(topology=topo(), p_flip=0.3, seed=13))
+        """Each level's draws are a pair of read-only (m, S, S) stacks."""
+        t = topo(m_im=(3, 2), m_tx=(2, 3), S=4)
+        draws = pflip_draws(ModelGenSpec(topology=t, p_flip=0.3, seed=13))
         with pytest.raises(dataclasses.FrozenInstanceError):
             draws.seed = 14
         for modality in ("im", "tx"):
-            for level in draws.levels(modality):
-                for a in (a for pair in level for a in pair):
-                    assert not a.flags.writeable
+            levels = draws.levels(modality)
+            assert len(levels) == t.depth
+            for (pi, soft), m in zip(levels, t.branching(modality)):
+                for a in (pi, soft):
+                    assert a.shape == (m, 4, 4) and not a.flags.writeable
 
     def test_overflowing_gaussian_scale_raises_in_the_draws(self):
         with pytest.raises(ModelError, match=r"gaussian_scale: 1e\+308 overflows the kernel draws"):
             pflip_draws(ModelGenSpec(topology=topo(), p_flip=0.0, seed=13, gaussian_scale=1e308))
+
+
+# 5 topologies x 3 seeds x 3 gaussian scales x 4 mixes = 180 specs
+PIN_TOPOLOGIES = [topo(), topo(depth=1, m_im=(1,), m_tx=(1,), S=2),
+                  topo(depth=1, m_im=(2,), m_tx=(2,), S=2), topo(m_im=(3, 2), m_tx=(2, 3), S=4),
+                  large_scale_topology()]
+PIN_MIXES = [{"p_flip": 0.0}, {"p_flip": 1.0}, {"p_flip": 0.3, "p_flip_im": 0.05},
+             {"p_flip": 0.6, "p_flip_tx": 0.9}]
+
+
+def test_kernel_bits_pinned():
+    """The bytes of every kernel, the cumulative root prior, every plan table
+    and the model file of a grid of generated models. A change of the
+    kernel storage must leave every byte as it is (digest taken at 85235cf,
+    where each kernel was an array of its own)."""
+    h = hashlib.sha256()
+    for t, seed, scale, mix in itertools.product(PIN_TOPOLOGIES, (REFERENCE_SEED, 0, 7),
+                                                 (1.0, 0.25, 3.0), PIN_MIXES):
+        model = make_pflip_model(ModelGenSpec(topology=t, seed=seed, gaussian_scale=scale, **mix))
+        h.update(model.root_cum.tobytes())
+        for modality in ("im", "tx"):
+            for level in model.kernels(modality):
+                for k in level:
+                    h.update(k.tobytes())
+            plan = model.plan(modality)
+            for table in (plan.cum, plan.down, plan.up, plan.columns):
+                for a in table:
+                    h.update(a.tobytes())
+        h.update(model_to_json(model).encode())
+    assert h.hexdigest() == "d0815bc495b8a221c5478e0174a2855099c9f5a2f483daff89e27156e50f5518"
 
 
 class TestSerialization:
@@ -288,6 +325,8 @@ def test_models_are_frozen(ref_model):
         ref_model.root_prior[0] = 0.5
     with pytest.raises(ValueError):
         ref_model.kernels_im[0][0][0, 0] = 0.5
+    with pytest.raises(ValueError):
+        ref_model.kernels_tx[1][1, 0, 0] = 0.5
     plan_arrays = [ref_model.root_cum]
     for modality in ("im", "tx"):
         plan = ref_model.plan(modality)
@@ -318,10 +357,38 @@ def test_plan_tables_hold_the_kernels(ref_model):
 
 
 def test_kernel_shape_rejected_at_construction():
+    """A level of the wrong count, or a rank that is not an S x S array,
+    raises ModelError naming the level or the rank."""
     m = uniform_model()
-    with pytest.raises(ModelError, match="kernel shape"):
-        JghmModel(topology=m.topology, root_prior=m.root_prior,
-                  kernels_im=((np.eye(2), np.eye(2)), m.kernels_im[1]), kernels_tx=m.kernels_tx)
+    for level, message in [
+        ((np.eye(2), np.eye(2)), r"kernels_im\[1\]\[1\]: kernel shape \(2, 2\) != \(3, 3\)"),
+        ((np.eye(3), np.eye(2)), r"kernels_im\[1\]\[2\]: kernel shape \(2, 2\) != \(3, 3\)"),
+        ((np.eye(3), np.eye(3)[:2]), r"kernels_im\[1\]\[2\]: kernel shape \(2, 3\) != \(3, 3\)"),
+        ((np.eye(3), [[1.0, 0.0, 0.0], [0.0, 1.0], [0.0, 0.0, 1.0]]),  # a ragged row
+         r"kernels_im\[1\]\[2\]: kernel is not a \(3, 3\) array of numbers"),
+        (([[1.0, 0.0, 0.0], "abc", [0.0, 0.0, 1.0]], np.eye(3)),
+         r"kernels_im\[1\]\[1\]: kernel is not a \(3, 3\) array of numbers"),
+        ((np.eye(3),), r"kernels_im\[1\] must have 2 kernels, got 1"),
+        ((np.eye(3),) * 3, r"kernels_im\[1\] must have 2 kernels, got 3"),
+        (np.eye(3)[None], r"kernels_im\[1\] must have 2 kernels, got 1"),
+    ]:
+        with pytest.raises(ModelError, match=message):
+            JghmModel(topology=m.topology, root_prior=m.root_prior,
+                      kernels_im=(level, m.kernels_im[1]), kernels_tx=m.kernels_tx)
+
+
+def test_model_copies_its_kernels():
+    """A model holds one read-only (m, S, S) copy per level: changing the
+    arrays it was built from leaves it as it was."""
+    m = uniform_model()
+    given = np.full((2, 2, 3, 3), 1.0 / 3)
+    model = JghmModel(topology=m.topology, root_prior=m.root_prior, kernels_im=given,
+                      kernels_tx=list(given))
+    given[:] = 0.0
+    for level in (*model.kernels_im, *model.kernels_tx):
+        assert level.shape == (2, 3, 3) and not level.flags.writeable
+        assert np.all(level == 1.0 / 3)
+    assert model_to_json(model) == model_to_json(m)
 
 
 @pytest.mark.parametrize("modality", ["image", "IM", "", None])

@@ -7,6 +7,7 @@ import pytest
 
 import jghm
 from jghm import sample_joint_batch, stream
+from jghm.bp import next_token_posterior_bp
 from jghm.encoders import (
     canonical_encoder,
     coarsened_root_encoder,
@@ -239,9 +240,12 @@ class TestExactNextToken:
         ([1, 1, 1, 1, 1], "prefix length 5 exceeds d_tx - 1 = 3"),
         ([1.7], "prefix tokens must be integer states, got dtype float64"),
     ])
-    def test_prefix_checked_before_use(self, ref_table, prefix, message):
-        with pytest.raises(ModelError, match=message):
-            exact_next_token(ref_table, [1, 1, 1, 1], prefix)
+    def test_prefix_checked_before_use(self, ref_model, ref_table, prefix, message):
+        """The oracle and BP check a prefix alike, through one helper."""
+        for next_token in (lambda p: exact_next_token(ref_table, [1, 1, 1, 1], p),
+                           lambda p: next_token_posterior_bp(ref_model, np.ones(4, dtype=int), p)):
+            with pytest.raises(ModelError, match=message):
+                next_token(prefix)
 
 
 class TestInfoHelpers:
