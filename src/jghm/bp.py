@@ -12,8 +12,13 @@ zero out, so exact zeros encode impossible states and a permutation-kernel
 model (p_flip = 0) stays exact. A node whose message is all zero means the
 evidence is impossible under the model, and raises ModelError. The block
 kernels and leaf columns are read from the model's plan (`JghmModel.plan`),
-built once per model. `root_log_posterior` enters the leaves rank by rank
-and never holds all leaf messages at once.
+built once per model. `root_log_posterior` and `text_log_likelihood` enter
+the leaves rank by rank and never hold all leaf messages at once. A leaf
+parent's message to its own parent depends only on the pattern of its m_L
+observed leaves and its rank, so a batch with at least as many leaf parents
+as there are such (pattern, rank) pairs gathers those messages from the
+plan's leaf table (`TreePlan.leaf_table`, built on first use) and enters the
+tree one level up; a smaller batch gathers kernel columns as above.
 
 There is one down pass, and it stops at level 1; each caller forms the root
 itself. Root posteriors multiply the level-1 messages and rescale them; the
@@ -149,10 +154,15 @@ def _rescale(h: np.ndarray, ones: np.ndarray) -> np.ndarray:
     scale keeps every node's largest entry within [1/S, 1]. The minimum is
     taken from +inf (an empty batch passes), and a nan total fails.
     """
-    total = h @ ones
+    total = _checked(h @ ones)
+    np.divide(h, total[..., None], out=h)
+    return total
+
+
+def _checked(total: np.ndarray) -> np.ndarray:
+    """`total` if every node's total is > 0, else ModelError."""
     if not np.minimum.reduce(total, axis=None, initial=np.inf) > 0:
         raise ModelError(IMPOSSIBLE)
-    np.divide(h, total[..., None], out=h)
     return total
 
 
@@ -181,10 +191,13 @@ def _group(x: np.ndarray, m: int) -> np.ndarray:
 
 
 def _sibling_product(q: np.ndarray, m: int) -> np.ndarray:
-    """Each parent's product of its m children's messages, in rank order."""
+    """Each parent's product of its m children's messages, in rank order,
+    as a fresh array."""
     siblings = _group(q, m)
-    h = siblings[..., 0, :].copy()
-    for j in range(1, m):
+    if m == 1:
+        return siblings[..., 0, :].copy()
+    h = siblings[..., 0, :] * siblings[..., 1, :]
+    for j in range(2, m):
         h *= siblings[..., j, :]
     return h
 
@@ -199,17 +212,29 @@ def _exclusive_prefix(g: np.ndarray) -> np.ndarray:
     return out
 
 
-def _cavities(q: np.ndarray, m: int) -> np.ndarray:
-    """For each child, the product of its siblings' messages: the exclusive
-    prefix product times a running product of the later siblings, taken
-    from the last child down (no division)."""
+def _cavities(q: np.ndarray, m: int, parent: np.ndarray) -> np.ndarray:
+    """Each child's message from its parent, as (..., n/m, m, S) sibling
+    groups: the product of its siblings' messages (q, in rank order) times
+    its parent's message from above (`parent`, (..., n/m, S)). With two
+    children, a child's siblings' product is its sibling's message; with
+    more, it is the product of the earlier siblings' messages times that of
+    the later ones, each a running product (no division)."""
     g = _group(q, m)
-    cav = _exclusive_prefix(g)
-    suffix = None
-    for j in range(m - 1, 0, -1):
-        suffix = g[..., j, :].copy() if suffix is None else np.multiply(suffix, g[..., j, :], out=suffix)
-        cav[..., j - 1, :] *= suffix
-    return cav.reshape(q.shape)
+    parent = parent[..., None, :]
+    if m == 1:
+        return np.ones_like(g) * parent
+    if m == 2:
+        return g[..., ::-1, :] * parent
+    cav = np.empty_like(g)
+    cav[..., 1, :] = g[..., 0, :]
+    for j in range(2, m):
+        np.multiply(cav[..., j - 1, :], g[..., j - 1, :], out=cav[..., j, :])
+    later = g[..., m - 1, :]
+    for j in range(m - 2, 0, -1):
+        cav[..., j, :] *= later
+        later = later * g[..., j, :]
+    cav[..., 0, :] = later
+    return cav * parent
 
 
 def _prior_share(model: JghmModel, modality: str) -> np.ndarray:
@@ -218,19 +243,21 @@ def _prior_share(model: JghmModel, modality: str) -> np.ndarray:
     return model.root_prior ** (1.0 / model.topology.branching(modality)[0])
 
 
-def _down(plan: TreePlan, qs: list, h: np.ndarray = None):
-    """Scaled down pass from the leaves to level 1 of the tree of `plan`; it
-    stops below the root, which each caller forms (or not) itself.
+def _down(plan: TreePlan, qs: list, h: np.ndarray = None, start: int = None):
+    """Scaled down pass from level `start` (default L-1, the leaves'
+    parents) to level 1 of the tree of `plan`; it stops below the root,
+    which each caller forms (or not) itself.
 
-    qs[L-1] holds the leaves' child-to-parent messages, or `h` is already
-    their product per level-(L-1) node (leaves entered rank by rank). Stores
-    the level-l child-to-parent messages in qs[l-1] for l = 1..L-1 and
-    returns (hs, totals): hs[l] the level-l products scaled to total 1 (hs[0]
-    is None), and the totals divided out, one array per level from L-1 down.
+    qs[start] holds the level-(start+1) child-to-parent messages, or `h` is
+    already their product per level-`start` node (leaves entered rank by
+    rank). Stores the level-l child-to-parent messages in qs[l-1] for
+    l = 1..start and returns (hs, totals): hs[l] the level-l products scaled
+    to total 1 (None for levels it does not form), and the totals divided
+    out, one array per level from `start` down.
     """
     ms, down = plan.branching, plan.down
     hs, totals = [None] * len(ms), []
-    for level in range(len(ms) - 1, 0, -1):
+    for level in range(len(ms) - 1 if start is None else start, 0, -1):
         if h is None:
             h = _sibling_product(qs[level], ms[level])
         totals.append(_rescale(h, plan.ones))
@@ -247,7 +274,7 @@ def _up(plan: TreePlan, qs, h_leaf: np.ndarray, root_extra: np.ndarray):
     out = root_extra[..., None, :]
     bs = []
     for m, blocks, q in zip(plan.branching, plan.up, qs):
-        msg = _group(_cavities(q, m), m) * out[..., None, :]
+        msg = _cavities(q, m, out)
         msg = msg.reshape(msg.shape[:-3] + (-1, msg.shape[-1]))
         _rescale(msg, plan.ones)
         bs.append(msg)
@@ -345,26 +372,61 @@ def _check_leaves(model: JghmModel, modality: str, leaves) -> np.ndarray:
 def _observed_root(model: JghmModel, modality: str, leaves: np.ndarray, share: np.ndarray = None):
     """The root's unscaled product of its level-1 messages given observed
     leaves, shape leaves.shape[:-1] + (1, S), and the totals the down pass
-    divided out below it. `share` (the prior share P^(1/m1), or None) is
-    multiplied into every level-1 message."""
-    topo = model.topology
-    S, m = topo.n_states, topo.branching(modality)[-1]
-    columns = model.plan(modality).columns[-1]
-    # Leaf entry rank by rank: the rank-(j+1) children of the leaves' parents
-    # sit at leaf positions j, j + m, ...; their messages are multiplied in
-    # as gathered, in the sibling order of _sibling_product.
-    h = None
-    for j in range(m):
-        q = np.take(columns, leaves[..., j::m] + np.intp(j * S - 1), axis=0)
-        if topo.depth == 1 and share is not None:
-            q *= share
-        h = q if h is None else np.multiply(h, q, out=h)
-    if topo.depth == 1:
-        return h, []
-    qs = [None] * topo.depth
-    _, totals = _down(model.plan(modality), qs, h)
+    divided out below it, one array per level from L-1 down. `share` (the
+    prior share P^(1/m1), or None) is multiplied into every level-1 message.
+
+    A batch with at least as many leaf parents as the plan's leaf table has
+    rows enters the tree one level up, by the table; a smaller one enters
+    the leaves' kernel columns."""
+    plan = model.plan(modality)
+    ms, S = plan.branching, model.n_states
+    L, m = len(ms), ms[-1]
+    qs = [None] * L
+    if _by_table(plan, leaves):
+        totals = [_leaf_parent_messages(plan, leaves, qs)]
+        totals += _down(plan, qs, start=L - 2)[1]
+    else:
+        # Leaf entry rank by rank: the rank-(j+1) children of the leaves'
+        # parents sit at leaf positions j, j + m, ...; their messages are
+        # multiplied in as gathered, in the sibling order of _sibling_product.
+        h = None
+        for j in range(m):
+            q = np.take(plan.columns[-1], leaves[..., j::m] + np.intp(j * S - 1), axis=0)
+            if L == 1 and share is not None:
+                q *= share
+            h = q if h is None else np.multiply(h, q, out=h)
+        if L == 1:
+            return h, []
+        _, totals = _down(plan, qs, h)
     q = qs[0] if share is None else qs[0] * share
-    return _sibling_product(q, topo.branching(modality)[0]), totals
+    return _sibling_product(q, ms[0]), totals
+
+
+def _by_table(plan: TreePlan, leaves: np.ndarray) -> bool:
+    """Whether a batch of observed leaves enters by the leaf table: the tree
+    has depth >= 2 and the batch at least as many leaf parents as the table
+    has rows (S^m_L * m_(L-1)), so that building it costs less than the
+    batch's own leaf level."""
+    ms = plan.branching
+    return len(ms) > 1 and leaves.size // ms[-1] >= len(plan.ones) ** ms[-1] * ms[-2]
+
+
+def _leaf_parent_messages(plan: TreePlan, leaves: np.ndarray, qs: list) -> np.ndarray:
+    """Enter observed leaves one level up: store the level-(L-1) messages to
+    level L-2 in qs[L-2], gathered from `plan.leaf_table` by each leaf
+    parent's pattern and rank, and return the totals that level divides
+    out. An impossible leaf group anywhere in the batch raises."""
+    messages, table_totals = plan.leaf_table
+    S, m, m_up = len(plan.ones), plan.branching[-1], plan.branching[-2]
+    pattern = leaves[..., 0::m] - np.intp(1)
+    for j in range(1, m):
+        pattern *= S
+        pattern += leaves[..., j::m] - 1
+    totals = _checked(np.take(table_totals, pattern))
+    pattern *= m_up
+    pattern += np.arange(pattern.shape[-1]) % m_up
+    qs[-2] = np.take(messages, pattern, axis=0)
+    return totals
 
 
 def root_log_posterior(model: JghmModel, modality: str, leaves: np.ndarray) -> Belief:
@@ -432,7 +494,10 @@ def _image_drift(model: JghmModel, x_tx: np.ndarray):
 
     def drift(z: np.ndarray, t: float) -> np.ndarray:
         h_leaf = _noise_profile(z, t, states, squares)
-        h_leaf -= h_leaf.max(axis=-1, keepdims=True)
+        top = h_leaf[..., 0].copy()  # the max over a short last axis, by columns
+        for s in range(1, len(states)):
+            np.maximum(top, h_leaf[..., s], out=top)
+        h_leaf -= top[..., None]
         np.exp(h_leaf, out=h_leaf)
         _, qs = _down_from_leaves(plan, h_leaf)
         return _up(plan, qs, h_leaf, text_post)[-1] @ states

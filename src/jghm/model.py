@@ -14,6 +14,7 @@ import numbers
 import sys
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -185,6 +186,10 @@ class TreePlan:
       columns (m*S, S)      the rank kernels transposed and stacked: row
                             j*S + x - 1 is the message of a rank-(j+1) child
                             observed in state x.
+
+    A tree of depth >= 2 also has `leaf_table`: the message every leaf parent
+    can send up, by its leaves' pattern and its rank, which BP gathers for
+    large batches of observed leaves. It is built on first use, not here.
     """
 
     branching: tuple
@@ -193,6 +198,32 @@ class TreePlan:
     down: tuple
     up: tuple
     columns: tuple
+
+    @cached_property
+    def leaf_table(self) -> tuple:
+        """(messages, totals): what a leaf parent sends up, for every pattern
+        of its m_L observed leaves; read-only, kept for the plan's lifetime.
+
+        Pattern p numbers the leaves' states x_1..x_m in mixed radix, the
+        rank-1 leaf most significant: p = sum_j (x_j - 1) S^(m - j). With c
+        the product of the leaves' columns in rank order, totals[p] is c's
+        total and row p * m_(L-1) + r of messages, shape (S^m * m_(L-1), S),
+        is (c / totals[p]) @ K_r.T: the scaled message of a rank-(r+1) leaf
+        parent to its parent (K_r that rank's level-(L-1) kernel). A pattern
+        with total 0, an impossible leaf group, has nan rows.
+        """
+        m, m_up, S = self.branching[-1], self.branching[-2], len(self.ones)
+        columns = self.columns[-1].reshape(m, S, S)
+        patterns = np.indices((S,) * m).reshape(m, -1)
+        c = columns[0][patterns[0]]
+        for j in range(1, m):
+            c *= columns[j][patterns[j]]
+        totals = c @ self.ones
+        with np.errstate(divide="ignore", invalid="ignore"):
+            c /= totals[:, None]
+        # column r*S + x - 1 of row i is K_r[x - 1, i]: every rank in one product
+        kernels_t = self.columns[-2].reshape(m_up, S, S).transpose(1, 0, 2).reshape(S, m_up * S)
+        return _frozen((c @ kernels_t).reshape(-1, S)), _frozen(totals)
 
 
 def _tree_plan(levels, S: int) -> TreePlan:
@@ -212,13 +243,19 @@ def _tree_plan(levels, S: int) -> TreePlan:
 
 def _level(name: str, level_idx: int, level, m: int, S: int) -> np.ndarray:
     """One level as a fresh frozen (m, S, S) float array, else ModelError
-    naming the first rank that is not S x S, or the level (a wrong count)."""
+    naming the first rank that is not S x S, or the level (not a sequence,
+    or a wrong count)."""
     try:
         k = np.array(level, dtype=float)  # a copy: a frozen view of a writable base could change
         if k.shape == (m, S, S):
             return _frozen(k)
     except (TypeError, ValueError):  # ragged ranks or rows, or not numbers: named below
         pass
+    try:
+        level = list(level)
+    except TypeError:
+        raise ModelError(f"{name}[{level_idx}] must be a sequence of {m} kernels, "
+                         f"got {type(level).__name__}") from None
     for rank, kernel in enumerate(level, start=1):
         try:
             shape = np.array(kernel, dtype=float).shape
@@ -262,6 +299,11 @@ class JghmModel:
         for modality in MODALITIES:
             name = f"kernels_{modality}"
             given = getattr(self, name)
+            try:
+                given = list(given)
+            except TypeError:
+                raise ModelError(f"{name} must be a sequence of {topo.depth} levels, "
+                                 f"got {type(given).__name__}") from None
             if len(given) != topo.depth:
                 raise ModelError(f"{name} must have {topo.depth} levels, got {len(given)}")
             levels = tuple(_level(name, level_idx, level, m, S) for level_idx, (level, m)

@@ -1,3 +1,6 @@
+import hashlib
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -363,6 +366,31 @@ class TestImageDrift:
                 np.errstate(over="ignore", invalid="ignore"):
             conditioned_denoiser(ref_model, x_tx)(noisy)
 
+    def test_denoiser_bits_pinned(self):
+        """The bytes of the bound denoiser's output, or its error, over
+        m = 1..5 children per node, S in (2, 3), p_flip in (0, 0.05, 0.3, 1)
+        and t from 0 to 1e6, with a profile near the float maximum in some
+        batches. A change of the up pass's arithmetic must leave every byte
+        as it is (digest taken at b2ae02a)."""
+        h = hashlib.sha256()
+        for m in range(1, 6):
+            for S in (2, 3):
+                topo = TreeTopology(depth=2, m_im=(m, m), m_tx=(2, m), n_states=S)
+                for p_flip in (0.0, 0.05, 0.3, 1.0):
+                    model = make_pflip_model(ModelGenSpec(topology=topo, p_flip=p_flip, seed=7))
+                    s = sample_joint_batch(model, 4, stream(45, "pin", m, S, str(p_flip)))
+                    denoise = conditioned_denoiser(model, s.x_tx[0])
+                    for t in (0.0, 1e-300, 0.5, 3.0, 50.0, 1e6):
+                        rng = stream(46, "pin", m, S, str(p_flip), str(t))
+                        z = t * s.x_im + np.sqrt(t) * rng.standard_normal(s.x_im.shape)
+                        z[0, 0] = (0.0, 1e308, -1e308, -1.5e308, 0.0)[m - 1] or z[0, 0]
+                        try:
+                            with np.errstate(over="ignore", invalid="ignore"):
+                                h.update(denoise(NoisyImage(t=t, z=z)).tobytes())
+                        except ModelError as e:
+                            h.update(str(e).encode())
+        assert h.hexdigest() == "36fa6a8b5be697f38c9fe0515b93e4127f2df0e87a238676fcd144629e0d134e"
+
     @pytest.mark.parametrize("shape", [(0, 4), (2, 0, 4)])
     def test_public_denoiser_names_an_empty_batch(self, ref_model, shape):
         x_tx = sample_joint(ref_model, stream(44, "rej")).x_tx
@@ -656,6 +684,93 @@ class TestLargeScale:
         z = 1.0 * s.x_im + stream(20, "bigz").standard_normal(81)
         den = bayes_denoiser(m, NoisyImage(t=1.0, z=z), s.x_tx)
         assert np.all((den >= 1) & (den <= 10))
+
+
+class TestLeafTable:
+    """A batch with at least as many leaf parents as the plan's leaf table
+    has rows (S^m_L * m_(L-1)) enters the tree one level up, by the table;
+    a smaller one enters the leaves' kernel columns. On the same batch the
+    two agree bitwise at S <= 4 and within 1e-14 relative at S = 10, where
+    the table's totals come from one gemv over its rows and a gemv's
+    rounding depends on a row's position. (For the same reason a batch and
+    its rows one by one can differ in the last bits on either path.)"""
+
+    # (S, branching): one row has fewer leaf parents than the table has rows
+    TREES = [(2, (3, 1)), (2, (2, 2, 2)), (2, (2, 2, 2, 3)), (3, (3, 2)), (3, (2, 2, 3)),
+             (3, (2, 3, 1)), (4, (2, 3)), (4, (2, 2, 1)), (10, (3, 2)), (10, (3, 3, 3, 3))]
+
+    @staticmethod
+    def model(S, ms, p_flip):
+        topo = TreeTopology(depth=len(ms), m_im=ms, m_tx=ms, n_states=S)
+        return make_pflip_model(ModelGenSpec(topology=topo, p_flip=p_flip, seed=5))
+
+    @staticmethod
+    def table_rows(model):
+        ms = model.topology.m_im
+        return model.n_states ** ms[-1] * ms[-2]
+
+    @pytest.mark.parametrize("p_flip", [0.0, 0.3, 1.0])
+    @pytest.mark.parametrize("S, ms", TREES)
+    def test_table_matches_column_entry(self, S, ms, p_flip, monkeypatch):
+        """With (root_log_posterior) and without (text_log_likelihood) the
+        prior share, on a batch of just enough rows."""
+        model = self.model(S, ms, p_flip)
+        parents = math.prod(ms[:-1])
+        assert parents < self.table_rows(model)
+        s = sample_joint_batch(model, -(-self.table_rows(model) // parents),
+                               stream(50, "table", S, len(ms), str(p_flip)))
+
+        def outputs():
+            return root_log_posterior(model, "im", s.x_im), text_log_likelihood(model, s.x_im, s.x_tx)
+
+        by_table = outputs()
+        assert "leaf_table" in vars(model.plan_im) and "leaf_table" in vars(model.plan_tx)
+        monkeypatch.setattr(bp, "_by_table", lambda plan, leaves: False)
+        for got, want in zip(by_table, outputs()):
+            if S <= 4:
+                assert np.array_equal(got, want)
+            else:
+                np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
+
+    @pytest.mark.parametrize("dtype", [np.uint16, np.int64])
+    def test_size_rule(self, dtype):
+        """R - 1 leaf parents enter by the columns, R by the table (R its
+        rows), and a narrow integer dtype gives the same patterns."""
+        model = self.model(10, (1, 3), 0.3)
+        R = self.table_rows(model)
+        leaves = sample_joint_batch(model, R, stream(51, "rule")).x_im.astype(dtype)
+        below = root_log_posterior(model, "im", leaves[:-1])
+        assert "leaf_table" not in vars(model.plan_im)
+        at = root_log_posterior(model, "im", leaves)
+        assert "leaf_table" in vars(model.plan_im)
+        np.testing.assert_allclose(at[:-1], below, rtol=1e-14, atol=0)
+        assert np.array_equal(at, root_log_posterior(model, "im", leaves.astype(np.intp)))
+
+    @pytest.mark.parametrize("S, ms", [(3, (2, 2, 3)), (10, (3, 2))])
+    def test_impossible_leaf_group_raises_on_both_paths(self, S, ms):
+        """Under permutation kernels the state of a group's first leaf fixes
+        the others; changing the last one makes the group impossible, and
+        the whole batch raises the same error on either path."""
+        model = self.model(S, ms, 0.0)
+        s = sample_joint_batch(model, self.table_rows(model), stream(52, "impossible", S))
+        x_tx = s.x_tx.copy()
+        x_tx[3, ms[-1] - 1] = x_tx[3, ms[-1] - 1] % S + 1
+        errors = []
+        for x_im, x_tx_rows in ((s.x_im[3], x_tx[3]), (s.x_im, x_tx)):
+            for call in (lambda: root_log_posterior(model, "tx", x_tx_rows),
+                         lambda: text_log_likelihood(model, x_im, x_tx_rows)):
+                with pytest.raises(ModelError) as e:
+                    call()
+                errors.append(str(e.value))
+        assert "leaf_table" in vars(model.plan_tx)
+        assert errors == [bp.IMPOSSIBLE] * 4
+
+    def test_table_is_read_only_and_kept(self):
+        plan = self.model(3, (2, 2), 0.3).plan_tx
+        messages, totals = plan.leaf_table
+        assert messages.shape == (3**2 * 2, 3) and totals.shape == (3**2,)
+        assert not messages.flags.writeable and not totals.flags.writeable
+        assert plan.leaf_table[0] is messages
 
 
 class TestBpOracleSweep:

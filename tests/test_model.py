@@ -357,8 +357,9 @@ def test_plan_tables_hold_the_kernels(ref_model):
 
 
 def test_kernel_shape_rejected_at_construction():
-    """A level of the wrong count, or a rank that is not an S x S array,
-    raises ModelError naming the level or the rank."""
+    """A kernels field or level that is not a sequence, a level of the wrong
+    count, or a rank that is not an S x S array raises ModelError naming the
+    field, the level or the rank."""
     m = uniform_model()
     for level, message in [
         ((np.eye(2), np.eye(2)), r"kernels_im\[1\]\[1\]: kernel shape \(2, 2\) != \(3, 3\)"),
@@ -371,10 +372,16 @@ def test_kernel_shape_rejected_at_construction():
         ((np.eye(3),), r"kernels_im\[1\] must have 2 kernels, got 1"),
         ((np.eye(3),) * 3, r"kernels_im\[1\] must have 2 kernels, got 3"),
         (np.eye(3)[None], r"kernels_im\[1\] must have 2 kernels, got 1"),
+        (5, r"kernels_im\[1\] must be a sequence of 2 kernels, got int"),
+        (None, r"kernels_im\[1\] must be a sequence of 2 kernels, got NoneType"),
     ]:
         with pytest.raises(ModelError, match=message):
             JghmModel(topology=m.topology, root_prior=m.root_prior,
                       kernels_im=(level, m.kernels_im[1]), kernels_tx=m.kernels_tx)
+    for kernels, kind in [(5, "int"), (None, "NoneType"), (np.float64(0.5), "float64")]:
+        with pytest.raises(ModelError, match=f"kernels_tx must be a sequence of 2 levels, got {kind}"):
+            JghmModel(topology=m.topology, root_prior=m.root_prior, kernels_im=m.kernels_im,
+                      kernels_tx=kernels)
 
 
 def test_model_copies_its_kernels():
