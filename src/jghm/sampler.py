@@ -66,14 +66,22 @@ class NoisyImage:
             raise ModelError("noisy image has non-finite entries")
 
 
-def _draw(u: np.ndarray, cum: np.ndarray) -> np.ndarray:
-    """Inverse-CDF draws: per uniform u, the first 0-based index whose
-    cumulative mass in the matching row of `cum` (..., S) reaches u."""
-    return np.minimum((u[..., None] > cum).sum(axis=-1), cum.shape[-1] - 1)
+def _integer(value) -> bool:
+    """True for an integer, numpy ones included; bools and floats are not, so
+    a count or a class is never truncated on its way in."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
-def _draw_roots(model: JghmModel, size: int, rng) -> np.ndarray:
-    return _draw(rng.random(size), model.root_cum) + 1
+def _batch_size(size) -> int:
+    if not _integer(size) or size < 0:
+        raise ModelError(f"size must be an integer >= 0, got {size!r}")
+    return int(size)
+
+
+def _draw_roots(model: JghmModel, size, rng) -> np.ndarray:
+    """`size` roots from the prior, by the count `_sample_tree` draws with."""
+    u = rng.random(_batch_size(size))
+    return (u > model.root_cum[:-1, None]).sum(axis=0) + 1
 
 
 def _sample_tree(model: JghmModel, modality: str, roots: np.ndarray, rng) -> tuple:
@@ -81,6 +89,16 @@ def _sample_tree(model: JghmModel, modality: str, roots: np.ndarray, rng) -> tup
 
     Each level takes one block of uniforms, ordered (rank, row, parent):
     every rank-1 child first, then every rank-2 child, and so on.
+
+    A child is an inverse-CDF draw: its 0-based state is the number of the
+    first S - 1 cumulative masses of its kernel row that its uniform
+    exceeds. A cumulative row of nonnegative entries is nondecreasing, so
+    an exceeded mass means every earlier one is exceeded too: the count is
+    the index of the first mass that reaches u, and a uniform above the
+    row's last mass (a total rounded below 1) counts S - 1, the last state.
+    Each level gathers every child's S - 1 masses in one take from a
+    state-major copy of its cumulative columns and counts over that leading
+    axis, which numpy reduces faster than a short last axis.
     """
     levels = []
     parents = roots[:, None]  # (B, 1)
@@ -89,10 +107,10 @@ def _sample_tree(model: JghmModel, modality: str, roots: np.ndarray, rng) -> tup
         m = len(cum)
         B, n_prev = parents.shape
         u = rng.random(m * B * n_prev).reshape(m, B, n_prev)
-        # the rank-(j+1) child of a parent in state x reads row j*S + x - 1
-        rows = np.take(cum.reshape(m * S, S),
-                       (np.arange(m) * S - 1)[:, None, None] + parents, axis=0)
-        children = _draw(u, rows) + 1  # (m, B, n_prev)
+        # entry (k, j*S + x - 1) is mass k of the rank-(j+1) kernel row of state x
+        cols = cum[..., :-1].transpose(2, 0, 1).reshape(S - 1, m * S)
+        masses = np.take(cols, (np.arange(m) * S - 1)[:, None, None] + parents, axis=1)
+        children = (u > masses).sum(axis=0) + 1  # (m, B, n_prev)
         parents = children.transpose(1, 2, 0).reshape(B, n_prev * m)
         levels.append(parents)
     return tuple(levels)
@@ -130,8 +148,8 @@ def sample_contrastive_rows(model: JghmModel, K: int, size: int, rng) -> tuple:
     side of an independent joint sample), so negatives are independent of
     the positive pair and of each other.
     """
-    if K < 2:
-        raise ModelError(f"contrastive batch needs K >= 2, got {K}")
+    if not _integer(K) or K < 2:
+        raise ModelError(f"contrastive batch needs an integer K >= 2, got {K!r}")
     topo = model.topology
     pos = sample_joint_batch(model, size, rng)
     neg_im = sample_marginal_leaves(model, "im", size * (K - 1), rng)
@@ -157,6 +175,6 @@ def sample_text_for_class(model: JghmModel, y: int, rng: np.random.Generator,
                           size: int) -> np.ndarray:
     """Sample `size` text leaf vectors (size, d_tx) conditioned on the root
     being class y."""
-    if not 1 <= y <= model.n_states:
-        raise ModelError(f"class {y} out of range [1, {model.n_states}]")
-    return _sample_tree(model, "tx", np.full(size, y, dtype=np.int64), rng)[-1]
+    if not _integer(y) or not 1 <= y <= model.n_states:
+        raise ModelError(f"class y must be an integer in [1, {model.n_states}], got {y!r}")
+    return _sample_tree(model, "tx", np.full(_batch_size(size), y, dtype=np.int64), rng)[-1]

@@ -1,3 +1,6 @@
+import hashlib
+import itertools
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -15,7 +18,7 @@ from jghm import (
 )
 from jghm.oracle import encode_leaves, enumerate_joint
 from jghm.presets import large_scale_topology, reference_topology
-from jghm.sampler import _sample_tree, sample_contrastive_rows
+from jghm.sampler import _sample_tree, sample_contrastive_rows, sample_marginal_leaves
 from test_model import uniform_model
 
 ALPHA = 1e-6  # chi-square flake threshold; draws are seeded, so deterministic
@@ -105,13 +108,20 @@ def _per_rank_tree(model, modality, roots, rng):
     return tuple(levels)
 
 
-@pytest.mark.parametrize("topology", [
-    reference_topology(),
-    large_scale_topology(),
-    TreeTopology(depth=3, m_im=(1, 3, 2), m_tx=(2, 1, 1), n_states=4),
-], ids=["reference", "large", "mixed"])
-def test_table_sampler_matches_per_rank_loop(topology):
-    model = make_pflip_model(ModelGenSpec(topology=topology, p_flip=0.3, seed=7))
+PER_RANK_TOPOLOGIES = {
+    "reference": reference_topology(),
+    "large": large_scale_topology(),
+    "mixed": TreeTopology(depth=3, m_im=(1, 3, 2), m_tx=(2, 1, 1), n_states=4),
+    "S2": TreeTopology(depth=2, m_im=(2, 3), m_tx=(3, 1), n_states=2),
+}
+
+
+@pytest.mark.parametrize("topology, p_flip", [
+    pytest.param(topology, p_flip, id=name if p_flip == 0.3 else f"{name}-p{p_flip:g}")
+    for name, topology in PER_RANK_TOPOLOGIES.items() for p_flip in (0.3, 0.0, 1.0)
+])
+def test_table_sampler_matches_per_rank_loop(topology, p_flip):
+    model = make_pflip_model(ModelGenSpec(topology=topology, p_flip=p_flip, seed=7))
     roots = stream(1, "plan-roots").integers(1, topology.n_states + 1, size=300)
     for modality in ("im", "tx"):
         got = _sample_tree(model, modality, roots, stream(2, "plan", modality))
@@ -119,6 +129,44 @@ def test_table_sampler_matches_per_rank_loop(topology):
         assert len(got) == len(want)
         for a, b in zip(got, want):
             assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+PIN_TOPOLOGIES = [
+    reference_topology(),
+    large_scale_topology(),
+    TreeTopology(depth=3, m_im=(1, 3, 2), m_tx=(2, 1, 1), n_states=4),
+    TreeTopology(depth=2, m_im=(2, 3), m_tx=(3, 1), n_states=2),
+    TreeTopology(depth=1, m_im=(3,), m_tx=(2,), n_states=5),
+]
+
+
+def test_draw_bits_pinned():
+    """Dtype, shape and bytes of every public sampler's output over five
+    topologies, p_flip in (0, 0.05, 0.3, 1), two kernel noise scales and
+    batch sizes 0 to 333, each grid point drawing all of them from one
+    generator in turn. A change of the draw rule must leave every byte and
+    the order of the uniforms as they are (digest taken at b22f476)."""
+    h = hashlib.sha256()
+
+    def update(a):
+        h.update(f"{a.dtype.str}{a.shape}".encode())
+        h.update(np.ascontiguousarray(a).tobytes())
+
+    for (i, topo), p_flip, scale, size in itertools.product(
+            enumerate(PIN_TOPOLOGIES), (0.0, 0.05, 0.3, 1.0), (1.0, 8.0), (0, 1, 7, 333)):
+        model = make_pflip_model(ModelGenSpec(topology=topo, p_flip=p_flip, seed=11,
+                                              gaussian_scale=scale))
+        rng = stream(47, "draw-pin", i, str(p_flip), str(scale), size)
+        joint = sample_joint_batch(model, size, rng)
+        for a in (joint.root, *joint.levels_im, *joint.levels_tx):
+            update(a)
+        for modality in ("im", "tx"):
+            update(sample_marginal_leaves(model, modality, size, rng))
+        for a in sample_contrastive_rows(model, 3, size, rng):
+            update(a)
+        for y in range(1, topo.n_states + 1):
+            update(sample_text_for_class(model, y, rng, size))
+    assert h.hexdigest() == "5b19a3b254696de898ac345f3a7db99b9a28fc82410c6fca8e5c7e733af13c27"
 
 
 class TestContrastiveBatch:
@@ -193,3 +241,47 @@ class TestTextForClass:
             sample_text_for_class(ref_model, 4, stream(5, "bad"), size=1)
         with pytest.raises(ModelError):
             sample_text_for_class(ref_model, 0, stream(5, "bad"), size=1)
+
+    @pytest.mark.parametrize("y", [1.5, 2.0, True, np.float64(2.7), "2", None])
+    def test_class_that_is_not_an_integer_is_named(self, ref_model, y):
+        with pytest.raises(ModelError, match=r"class y must be an integer in \[1, 3\]"):
+            sample_text_for_class(ref_model, y, stream(5, "bad"), size=1)
+
+    def test_numpy_integer_class(self, ref_model):
+        a = sample_text_for_class(ref_model, np.int16(2), stream(5, "np"), size=6)
+        b = sample_text_for_class(ref_model, 2, stream(5, "np"), size=6)
+        assert np.array_equal(a, b)
+
+
+SAMPLERS = {
+    "joint": lambda model, size: sample_joint_batch(model, size, stream(5, "size")),
+    "marginal": lambda model, size: sample_marginal_leaves(model, "tx", size, stream(5, "size")),
+    "contrastive": lambda model, size: sample_contrastive_rows(model, 3, size, stream(5, "size")),
+    "class": lambda model, size: sample_text_for_class(model, 2, stream(5, "size"), size),
+}
+
+
+@pytest.mark.parametrize("size", [-1, 2.5, 3.0, True, np.float64(2), "3", None])
+@pytest.mark.parametrize("sampler", list(SAMPLERS), ids=list(SAMPLERS))
+def test_size_that_is_not_a_count_is_named(ref_model, sampler, size):
+    with pytest.raises(ModelError, match=r"size must be an integer >= 0"):
+        SAMPLERS[sampler](ref_model, size)
+
+
+@pytest.mark.parametrize("sampler", list(SAMPLERS), ids=list(SAMPLERS))
+def test_numpy_and_zero_sizes(ref_model, sampler):
+    def texts(size):
+        out = SAMPLERS[sampler](ref_model, size)
+        if sampler == "joint":
+            return out.x_tx
+        return out[1] if sampler == "contrastive" else out
+
+    assert np.array_equal(texts(np.uint8(4)), texts(4))
+    empty = texts(0)
+    assert empty.shape[0] == 0 and empty.dtype == np.int64
+
+
+@pytest.mark.parametrize("K", [2.0, 3.5, True, np.float64(3), None])
+def test_contrastive_k_that_is_not_an_integer_is_named(ref_model, K):
+    with pytest.raises(ModelError, match=r"needs an integer K >= 2"):
+        sample_contrastive_rows(ref_model, K, 2, stream(5, "k"))
