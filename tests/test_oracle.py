@@ -1,3 +1,4 @@
+import hashlib
 import importlib
 import inspect
 import pkgutil
@@ -30,6 +31,7 @@ from jghm.oracle import (
     kl_rows,
     mi_from_joint,
 )
+from jghm.metrics import vlm_divergence
 from jghm.presets import large_scale_topology
 from test_model import uniform_model
 
@@ -281,3 +283,50 @@ def test_only_enumerate_joint_takes_a_budget():
                 defaulted.append(f"{info.name}.{name}")
     assert budgets == ["oracle.enumerate_joint"]
     assert defaulted == []
+
+
+# Topologies the CLI digests do not run: one wide level at S = 2, a level of
+# one child per node, and S = 4 with four text leaves; plus the reference one.
+PIN_TOPOLOGIES = {
+    "depth1-m9-S2": TreeTopology(depth=1, m_im=(3,), m_tx=(9,), n_states=2),
+    "rank1": TreeTopology(depth=3, m_im=(1, 2, 1), m_tx=(1, 2, 1), n_states=3),
+    "S4-dtx4": TreeTopology(depth=2, m_im=(1, 2), m_tx=(2, 2), n_states=4),
+    "reference": TreeTopology(depth=2, m_im=(2, 2), m_tx=(2, 2), n_states=3),
+}
+
+# (topology, p_flip) -> (vlm_divergence of the canonical, coarsened and
+# constant image encoders as float.hex, sha256 prefix of the stacked
+# exact_next_token rows at every prefix of four drawn rows)
+ORACLE_PINS = {
+    ("depth1-m9-S2", 0.0): (("0x0.0p+0", "0x1.62e42fefa39efp-1", "0x1.62e42fefa39efp-1"),
+                            "25a6d059f1fcfdea"),
+    ("depth1-m9-S2", 0.3): (("0x0.0p+0", "0x1.28e902b4105f9p-1", "0x1.28e902b4105f9p-1"),
+                            "16db58dfd3323349"),
+    ("rank1", 0.0): (("0x0.0p+0", "0x1.d9303fea2f7e9p-2", "0x1.193ea7aad030bp+0"),
+                     "49ebe36222d135b8"),
+    ("rank1", 0.3): (("0x0.0p+0", "0x1.084b27dfa4854p-7", "0x1.2d222a314994ap-5"),
+                     "a713a9483b21a997"),
+    ("S4-dtx4", 0.0): (("0x0.0p+0", "0x1.62e42fefa39efp-2", "0x1.62e42fefa39efp+0"),
+                       "4a80decfa04f0cea"),
+    ("S4-dtx4", 0.3): (("0x0.0p+0", "0x1.94084e607964bp-6", "0x1.2e811b178528bp-2"),
+                       "f5d37b1b396bdd34"),
+    ("reference", 0.0): (("0x0.0p+0", "0x1.d9303fea2f7e9p-2", "0x1.193ea7aad030bp+0"),
+                         "63720c822de08b77"),
+    ("reference", 0.3): (("0x0.0p+0", "0x1.508cf04f66747p-3", "0x1.a10c81a332758p-2"),
+                         "181a94cb66f3c58a"),
+}
+
+
+@pytest.mark.parametrize("topology, p_flip", list(ORACLE_PINS))
+def test_oracle_bits_pinned(topology, p_flip):
+    """The exact next-token law and divergence keep every bit; a change of
+    these pins must be deliberate."""
+    topo = PIN_TOPOLOGIES[topology]
+    model = make_pflip_model(ModelGenSpec(topology=topo, p_flip=p_flip, seed=7))
+    table = enumerate_joint(model)
+    vlm = tuple(vlm_divergence(table, encoder(model, "im")).estimate.hex()
+                for encoder in (canonical_encoder, coarsened_root_encoder, constant_encoder))
+    draws = sample_joint_batch(model, 4, stream(7, "oracle-pin"))
+    next_token = np.stack([exact_next_token(table, x_im, x_tx[:i])
+                           for x_im, x_tx in zip(draws.x_im, draws.x_tx) for i in range(topo.d_tx)])
+    assert (vlm, hashlib.sha256(next_token.tobytes()).hexdigest()[:16]) == ORACLE_PINS[topology, p_flip]
