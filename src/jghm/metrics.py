@@ -283,22 +283,13 @@ def cdm_estimation_error(model: JghmModel, table: JointTable, encoder, t: float,
 # ---------------------------------------------------------------------------
 
 
-def _prefix_codes(tuples: np.ndarray, n_states: int):
-    """Per position p: (prefix index of each tuple, current 0-based token)."""
-    out = []
-    codes = np.zeros(len(tuples), dtype=np.int64)
-    for p in range(tuples.shape[1]):
-        out.append((codes.copy(), tuples[:, p] - 1))
-        codes = codes * n_states + (tuples[:, p] - 1)
-    return out
-
-
-def _token_mass(weights: np.ndarray, codes, tokens, n_prefix: int, S: int) -> np.ndarray:
+def _token_mass(weights: np.ndarray, p: int, S: int) -> np.ndarray:
     """Per row of `weights` (a mass on text tuples), the mass of each
-    (prefix, current token) pair, shape (rows, n_prefix, S)."""
-    mass = np.zeros(weights.shape[:-1] + (n_prefix, S))
-    np.add.at(mass, (..., codes, tokens), weights)
-    return mass
+    (prefix of p tokens, next token) pair, shape (rows, S**p, S): the sum of
+    its block of suffixes, added one by one in tuple order (a pairwise
+    `.sum` would round differently)."""
+    blocks = weights.reshape(len(weights), S**p, S, -1)
+    return np.add.accumulate(blocks, axis=-1)[..., -1]
 
 
 def vlm_divergence(table: JointTable, encoder) -> RiskReport:
@@ -313,9 +304,9 @@ def vlm_divergence(table: JointTable, encoder) -> RiskReport:
     suff = _expected_kl(joint, fiber_joint[ids])
 
     total = 0.0
-    for p, (codes, tokens) in enumerate(_prefix_codes(table.tuples_tx, S)):
-        true = _token_mass(joint, codes, tokens, S**p, S)
-        restricted = _token_mass(fiber_joint, codes, tokens, S**p, S)[ids]
+    for p in range(table.tuples_tx.shape[1]):
+        true = _token_mass(joint, p, S)
+        restricted = _token_mass(fiber_joint, p, S)[ids]
         total += _expected_kl(true.reshape(-1, S), restricted.reshape(-1, S))
     n_pairs = int(np.count_nonzero(table.joint))
     total = max(total, 0.0)

@@ -8,7 +8,10 @@ Only `enumerate_joint` enumerates, and it refuses (BudgetExceeded) beyond
 its budget; every exact quantity below reads the `JointTable` it returns.
 
 Leaf tuples are encoded as mixed-radix integers with leaf 1 most
-significant, matching the canonical leaf numbering.
+significant, matching the canonical leaf numbering. A table axis over S^d
+tuples therefore reshapes to (S,) * d, one axis per leaf, so a prefix of
+leaves selects one contiguous block: the oracle indexes by reshapes, not
+by loops over leaves or states.
 """
 
 from dataclasses import dataclass
@@ -53,30 +56,26 @@ def _assert_budget(topology, budget):
 
 
 def all_leaf_tuples(d: int, n_states: int) -> np.ndarray:
-    """All S^d leaf assignments (1-based states), in index order."""
-    grids = np.meshgrid(*[np.arange(1, n_states + 1)] * d, indexing="ij")
-    return np.stack([g.reshape(-1) for g in grids], axis=-1)
+    """All S^d leaf assignments (1-based states), in index order. The copy
+    is C-ordered: the BLAS products that read the tuples round by layout."""
+    return np.indices((n_states,) * d).reshape(d, -1).T.copy() + 1
 
 
 def encode_leaves(leaves: np.ndarray, n_states: int) -> np.ndarray:
-    """Mixed-radix index of a 1-based leaf tuple (batch-aware)."""
+    """Mixed-radix index of a 1-based leaf tuple (batch-aware), exact in int64."""
     leaves = np.asarray(leaves, dtype=np.int64)
-    idx = np.zeros(leaves.shape[:-1], dtype=np.int64)
-    for v in range(leaves.shape[-1]):
-        idx = idx * n_states + (leaves[..., v] - 1)
-    return idx
+    return (leaves - 1) @ n_states ** np.arange(leaves.shape[-1] - 1, -1, -1)
 
 
 def _tree_conditional(model: JghmModel, modality: str) -> np.ndarray:
-    """P(all leaves | root state): (S, S^d), by exhaustive level merging."""
+    """P(all leaves | root state): (S, S^d), one kernel product per level."""
     S = model.n_states
     table = np.eye(S)  # P(subtree of a level-L node | its own state)
-    for level_kernels in reversed(model.kernels(modality)):
-        merged = None
-        for kernel in level_kernels:
-            v = kernel @ table  # (S, block): P(child subtree | parent state)
-            merged = v if merged is None else (merged[:, :, None] * v[:, None, :]).reshape(S, -1)
-        table = merged
+    for level in reversed(model.kernels(modality)):
+        ranks = level @ table  # (m, S, block): P(rank-k child subtree | parent state)
+        table = ranks[0]
+        for v in ranks[1:]:
+            table = (table[:, :, None] * v[:, None, :]).reshape(S, -1)
     return table
 
 
@@ -175,7 +174,7 @@ def exact_conditional_root(table: JointTable, modality: str, leaves) -> np.ndarr
     w = table.prior * table.cond(modality)[:, idx]
     total = w.sum()
     if total == 0:
-        raise ValueError("leaves have zero probability under the model")
+        raise ModelError("leaves have zero probability under the model")
     return w / total
 
 
@@ -249,7 +248,7 @@ def exact_denoiser(table: JointTable, z: np.ndarray, t: float, x_tx) -> np.ndarr
     """E[x_im | z_t, x_tx] by enumeration with Gaussian leaf densities."""
     p_cond = table.joint[:, table.index("tx", x_tx)]
     if p_cond.sum() == 0:
-        raise ValueError("text leaves have zero probability under the model")
+        raise ModelError("text leaves have zero probability under the model")
     x = table.tuples_im.astype(float)
     return _gaussian_tilted_mean(p_cond, np.asarray(z, dtype=float), t, x)
 
@@ -276,18 +275,12 @@ def next_token_from_weights(table: JointTable, weights: np.ndarray, prefix) -> n
     which must hold at most d_tx - 1 integer states in [1, S] (else
     ModelError); the empty prefix may have any dtype.
     """
-    tuples, S = table.tuples_tx, table.n_states
-    prefix = _checked_prefix(prefix, tuples.shape[1], S)
-    i = len(prefix)
-    mask = np.ones(len(tuples), dtype=bool)
-    for v in range(i):
-        mask &= tuples[:, v] == prefix[v]
-    out = np.zeros(S)
-    for s in range(1, S + 1):
-        out[s - 1] = weights[mask & (tuples[:, i] == s)].sum()
+    S = table.n_states
+    prefix = _checked_prefix(prefix, table.tuples_tx.shape[1], S)
+    out = weights.reshape(S ** len(prefix), S, -1)[encode_leaves(prefix, S)].sum(-1)
     total = out.sum()
     if total == 0:
-        raise ValueError("prefix has zero probability in the conditioned law")
+        raise ModelError("prefix has zero probability in the conditioned law")
     return out / total
 
 

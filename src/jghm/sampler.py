@@ -162,10 +162,16 @@ def sample_contrastive_rows(model: JghmModel, K: int, size: int, rng) -> tuple:
 def noise_image(x_im: np.ndarray, t: float, rng: np.random.Generator, g=None) -> NoisyImage:
     """Observe z = t * x_im + sqrt(t) * g, g standard normal.
 
-    `g` can be injected for tests; otherwise it is drawn from `rng`.
+    `x_im` must be an integer array of states >= 1 (else ModelError). `g`
+    can be injected for tests; otherwise it is drawn from `rng`.
     """
     check_time(t)
-    x = np.asarray(x_im, dtype=float)
+    x = np.asarray(x_im)
+    integral = np.issubdtype(x.dtype, np.integer)
+    if not integral or (x.size and x.min() < 1):
+        got = f"state {x.min()}" if integral else f"dtype {x.dtype}"
+        raise ModelError(f"image must be an integer array of states >= 1, got {got}")
+    x = x.astype(float)
     if g is None:
         g = rng.standard_normal(x.shape)
     return NoisyImage(t=float(t), z=t * x + np.sqrt(t) * np.asarray(g, dtype=float))

@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import importlib
 import inspect
@@ -17,10 +18,13 @@ from jghm.encoders import (
     exact_score,
     prefix_text_encoder,
 )
+from jghm import oracle
 from jghm.model import ModelError, ModelGenSpec, TreeTopology, make_pflip_model
 from jghm.oracle import (
     BudgetExceeded,
+    all_leaf_tuples,
     config_count,
+    encode_leaves,
     enumerate_joint,
     exact_conditional_root,
     exact_denoiser,
@@ -30,6 +34,7 @@ from jghm.oracle import (
     exact_suff_score,
     kl_rows,
     mi_from_joint,
+    next_token_from_weights,
 )
 from jghm.metrics import vlm_divergence
 from jghm.presets import large_scale_topology
@@ -108,6 +113,11 @@ class TestConditionalRoot:
         table = enumerate_joint(m)
         post = exact_conditional_root(table, "im", np.array([2, 1, 3, 3]))
         assert np.allclose(post, m.root_prior, atol=1e-12)
+
+    def test_zero_mass_leaves_raise_model_error(self, perm_table):
+        # 78 of the 81 image tuples of the permutation model have zero mass
+        with pytest.raises(ModelError, match="leaves have zero probability under the model"):
+            exact_conditional_root(perm_table, "im", [1, 1, 1, 1])
 
 
 class TestMutualInformation:
@@ -217,6 +227,10 @@ class TestExactDenoiser:
             out = exact_denoiser(perm_table, z, 1.0, draws.x_tx[k])
             assert np.allclose(out, draws.x_im[k], atol=1e-12)
 
+    def test_zero_mass_text_raises_model_error(self, perm_table):
+        with pytest.raises(ModelError, match="text leaves have zero probability under the model"):
+            exact_denoiser(perm_table, np.zeros(4), 1.0, [1, 1, 1, 1])
+
     def test_output_range(self, ref_model, ref_table):
         rng = stream(5, "ed2")
         s = sample_joint_batch(ref_model, 1, rng)
@@ -234,6 +248,11 @@ class TestExactNextToken:
         # the empty prefix may be float64, as np.asarray([]) is
         assert np.array_equal(exact_next_token(ref_table, s.x_im[0], []),
                               exact_next_token(ref_table, s.x_im[0], s.x_tx[0][:0]))
+
+    def test_zero_mass_prefix_raises_model_error(self, perm_table):
+        # every text of positive mass under the permutation model starts 1, 2
+        with pytest.raises(ModelError, match="prefix has zero probability in the conditioned law"):
+            next_token_from_weights(perm_table, perm_table.p_tx, [1, 1])
 
     @pytest.mark.parametrize("prefix, message", [
         ([4], r"prefix values must lie in \[1, 3\], got 4\.\.4"),
@@ -330,3 +349,26 @@ def test_oracle_bits_pinned(topology, p_flip):
     next_token = np.stack([exact_next_token(table, x_im, x_tx[:i])
                            for x_im, x_tx in zip(draws.x_im, draws.x_tx) for i in range(topo.d_tx)])
     assert (vlm, hashlib.sha256(next_token.tobytes()).hexdigest()[:16]) == ORACLE_PINS[topology, p_flip]
+
+
+@pytest.mark.parametrize("topology", PIN_TOPOLOGIES)
+def test_leaf_tuples_round_trip(topology):
+    """Row j of the leaf tuples encodes to j, and the rows are C-contiguous
+    (a Fortran-ordered copy rounds the BLAS products that read it otherwise)."""
+    topo = PIN_TOPOLOGIES[topology]
+    for d in (topo.d_im, topo.d_tx):
+        tuples = all_leaf_tuples(d, topo.n_states)
+        assert tuples.flags.c_contiguous
+        assert np.array_equal(encode_leaves(tuples, topo.n_states), np.arange(topo.n_states**d))
+
+
+def test_oracle_imports_only_the_model():
+    """The oracle is the independent authority: of this package it imports
+    `.model` alone, so it never calls BP."""
+    modules = set()
+    for node in ast.walk(ast.parse(open(oracle.__file__).read())):
+        if isinstance(node, ast.Import):
+            modules.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            modules.add("." * node.level + (node.module or ""))
+    assert {m for m in modules if m.startswith(".") or m.split(".")[0] == "jghm"} == {".model"}

@@ -219,6 +219,14 @@ class TestNoiseImage:
         with pytest.raises(ModelError):
             noise_image(np.array([1]), -0.5, stream(0, "bad"))
 
+    @pytest.mark.parametrize("x_im, got", [
+        ([1.5], "dtype float64"), (["a"], "dtype <U1"), ([True], "dtype bool"),
+        ([2, 0], "state 0"), ([[1, 3], [-2, 1]], "state -2"),
+    ], ids=["float", "str", "bool", "state-0", "negative-state"])
+    def test_non_state_image_rejected(self, x_im, got):
+        with pytest.raises(ModelError, match=f"image must be an integer array of states >= 1, got {got}"):
+            noise_image(np.array(x_im), 1.0, stream(0, "bad"))
+
 
 class TestTextForClass:
     def test_p_zero_text_is_deterministic(self, perm_model):
