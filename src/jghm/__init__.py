@@ -9,10 +9,9 @@ from .model import (
     ModelGenSpec,
     TreeTopology,
     make_pflip_model,
-    mix_pflip,
     model_from_json,
     model_to_json,
-    pflip_draws,
+    pflip_models,
     topology_from_json,
     validate_model,
 )

@@ -49,10 +49,9 @@ from .model import (
     ModelError,
     ModelGenSpec,
     make_pflip_model,
-    mix_pflip,
     model_from_json,
     model_to_json,
-    pflip_draws,
+    pflip_models,
     topology_from_json,
     validate_model,
 )
@@ -212,17 +211,13 @@ def _generator(c):
     thread. A gaussian_scale that overflows them is a config error."""
     if c["topology"] is None:
         raise ConfigError("topology: missing; a generated model needs it")
-
-    def spec(p_flip):
-        return ModelGenSpec(topology=c["topology"], p_flip=p_flip, seed=c["model_seed"],
-                            gaussian_scale=c["gaussian_scale"], p_flip_im=c["p_flip_im"],
-                            p_flip_tx=c["p_flip_tx"])
-
     try:
-        draws = pflip_draws(spec(0.0))
+        return pflip_models(ModelGenSpec(
+            topology=c["topology"], p_flip=0.0, seed=c["model_seed"],  # p_flip: not read
+            gaussian_scale=c["gaussian_scale"], p_flip_im=c["p_flip_im"],
+            p_flip_tx=c["p_flip_tx"]))
     except ModelError as e:
         raise ConfigError(str(e)) from e
-    return lambda p_flip: mix_pflip(draws, spec(p_flip))
 
 
 def _resolve_model(c, generate=None) -> JghmModel:

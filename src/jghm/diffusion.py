@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bp import _image_drift, root_log_posterior
-from .model import JghmModel, ModelError
+from .model import JghmModel, ModelError, _integer
 from .oracle import encode_leaves, enumerate_joint
 from .metrics import RiskReport, _monte_carlo
 from .rng import stream
@@ -38,8 +38,7 @@ class SdeConfig:
             if isinstance(v, bool) or not isinstance(v, numbers.Real) or not (
                     math.isfinite(v) and v > 0):
                 raise ModelError(f"{name} must be a finite real > 0, got {v!r}")
-        if isinstance(self.n_paths, bool) or not isinstance(self.n_paths, numbers.Integral) \
-                or self.n_paths < 1:
+        if not _integer(self.n_paths) or self.n_paths < 1:
             raise ModelError(f"n_paths must be an integer >= 1, got {self.n_paths!r}")
         steps = self.horizon / self.dt
         if not math.isfinite(steps) or abs(steps - round(steps)) > 1e-9:

@@ -17,7 +17,7 @@ from functools import partial
 import numpy as np
 
 from .bp import downsweep, evidence_from_states, root_posterior
-from .model import JghmModel, by_modality
+from .model import JghmModel, ModelError, _integer, by_modality
 
 __all__ = [
     "Encoder",
@@ -46,7 +46,7 @@ class Encoder:
     def __call__(self, leaves: np.ndarray) -> np.ndarray:
         out = np.asarray(self.fn(np.asarray(leaves)), dtype=float)
         if not np.all(np.isfinite(out)):
-            raise ValueError(f"encoder {self.name} produced non-finite output")
+            raise ModelError(f"encoder {self.name} produced non-finite output")
         return np.round(out, self.precision)
 
 
@@ -99,11 +99,13 @@ def constant_encoder(model: JghmModel, modality: str) -> Encoder:
 
 
 def prefix_text_encoder(model: JghmModel, n_observed: int = None) -> Encoder:
-    """Root posterior computed from only the first n_observed text tokens."""
+    """Root posterior computed from only the first n_observed text tokens
+    (d_tx // 2, at least 1, by default). An n_observed that is not an
+    integer in [1, d_tx] (bools and floats included) raises ModelError."""
     d = model.topology.d_tx
-    k = max(1, d // 2) if n_observed is None else int(n_observed)
-    if not 1 <= k <= d:
-        raise ValueError(f"n_observed must lie in [1, {d}]")
+    k = max(1, d // 2) if n_observed is None else n_observed
+    if not _integer(k) or not 1 <= k <= d:
+        raise ModelError(f"n_observed must be an integer in [1, {d}], got {k!r}")
 
     def fn(leaves):
         leaves = np.asarray(leaves)

@@ -14,13 +14,12 @@ the sample count.
 """
 
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .bp import bayes_denoiser, root_posterior, text_log_likelihood
-from .model import JghmModel, ModelError
+from .model import JghmModel, ModelError, _integer
 from .oracle import (
     JointTable,
     _expected_kl,
@@ -228,7 +227,7 @@ def zsc_kl_sweep(model: JghmModel, score, M_list, n: int, seed: int):
     if not M_list:
         raise ModelError("zsc_kl_sweep needs a non-empty M_list")
     for j, M in enumerate(M_list):
-        if isinstance(M, bool) or not isinstance(M, numbers.Integral) or M < 1:
+        if not _integer(M) or M < 1:
             raise ModelError(f"M_list[{j}] must be an integer >= 1, got {M!r}")
     M_max = max(M_list)
     log_prior = np.log(model.root_prior)

@@ -13,7 +13,7 @@ import json
 import numbers
 import sys
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -29,9 +29,7 @@ __all__ = [
     "by_modality",
     "validate_kernel",
     "validate_model",
-    "PflipDraws",
-    "pflip_draws",
-    "mix_pflip",
+    "pflip_models",
     "make_pflip_model",
     "model_to_json",
     "model_from_json",
@@ -43,6 +41,12 @@ ROW_SUM_TOL = 1e-12
 MASS_TOL = 1e-12
 
 MODALITIES = ("im", "tx")
+
+
+def _integer(value) -> bool:
+    """True for an integer, numpy ones included; bools and floats are not, so
+    a count, a class or a seed is never truncated on its way in."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 class ModelError(ValueError):
@@ -73,20 +77,15 @@ class TreeTopology:
     n_states: int
 
     def __post_init__(self):
-        # counts are integers (numpy ones included), never bools or floats,
-        # so a value is never truncated on its way in
-        def integral(v):
-            return isinstance(v, numbers.Integral) and not isinstance(v, bool)
-
         for name in ("depth", "n_states"):
             value = getattr(self, name)
-            if not integral(value):
+            if not _integer(value):
                 raise ModelError(f"{name} must be an integer, got {value!r}")
             object.__setattr__(self, name, int(value))
         for name in ("m_im", "m_tx"):
             value = getattr(self, name)
             ms = tuple(value) if np.iterable(value) else None
-            if ms is None or not all(integral(m) for m in ms):
+            if ms is None or not all(_integer(m) for m in ms):
                 raise ModelError(f"{name} must be a sequence of integers, got {value!r}")
             object.__setattr__(self, name, tuple(int(m) for m in ms))
         problems = []
@@ -371,14 +370,14 @@ class ModelGenSpec:
 
     Each kernel is (1 - p_flip) * P + p_flip * softmax_rows(G) where P is a
     uniformly random permutation matrix and G has iid N(0, gaussian_scale^2)
-    entries. Generation has two steps: `pflip_draws` draws P and
-    softmax_rows(G) per (modality, level, rank) from (topology, seed,
-    gaussian_scale) alone, and `mix_pflip` mixes one model per p_flip from
-    them. Models that differ only in p_flip can therefore share one set of
-    draws and vary only the mixing weight.
+    entries. P and softmax_rows(G) depend on (topology, seed,
+    gaussian_scale) alone, so `pflip_models` draws them once and mixes every
+    model that differs only in p_flip from them.
 
     The mixing weight may differ per tree (p_flip_im / p_flip_tx override
-    p_flip), e.g. to make one modality near-deterministic.
+    p_flip), e.g. to make one modality near-deterministic. The seed is an
+    integer in [-2**127, 2**127), the range of a stream key, and
+    gaussian_scale a finite real; bools are neither.
     """
 
     topology: TreeTopology
@@ -389,6 +388,14 @@ class ModelGenSpec:
     p_flip_tx: float = None
 
     def __post_init__(self):
+        seed, scale = self.seed, self.gaussian_scale
+        if not _integer(seed) or not -2**127 <= seed < 2**127:
+            raise ModelError(f"seed must be an integer in [-2**127, 2**127), got {seed!r}")
+        if isinstance(scale, bool) or not isinstance(scale, numbers.Real) \
+                or not abs(scale) <= sys.float_info.max:
+            raise ModelError(f"gaussian_scale must be a finite real number, got {scale!r}")
+        object.__setattr__(self, "seed", int(seed))
+        object.__setattr__(self, "gaussian_scale", float(scale))
         for name, p in (("p_flip", self.p_flip), ("p_flip_im", self.p_flip_im),
                         ("p_flip_tx", self.p_flip_tx)):
             if p is None and name != "p_flip":
@@ -407,8 +414,8 @@ def _softmax_rows(g: np.ndarray) -> np.ndarray:
 
 
 def _level_draws(spec: ModelGenSpec, modality: str, level: int, m: int):
-    """(P, softmax_rows(G)) of the m kernels of one level, each stacked
-    (m, S, S); every rank draws from its own stream."""
+    """(P, softmax_rows(G)) of the m kernels of one level, each a read-only
+    (m, S, S) stack; every rank draws from its own stream."""
     S = spec.topology.n_states
     pi, g = np.zeros((m, S, S)), np.empty((m, S, S))
     for rank in range(m):
@@ -418,83 +425,57 @@ def _level_draws(spec: ModelGenSpec, modality: str, level: int, m: int):
     return _frozen(pi), _frozen(_softmax_rows(g * spec.gaussian_scale))
 
 
-@dataclass(frozen=True)
-class PflipDraws:
-    """The random part of the kernel family for one (topology, seed,
-    gaussian_scale): ``draws_im[l]`` is the pair (P, softmax_rows(G)) of
-    level l+1 of the image tree, each one (m, S, S) array whose [i] belongs
-    to the rank-(i+1) kernel (likewise ``draws_tx``). Every array is frozen,
-    so threads may mix models from one instance concurrently.
+def pflip_models(spec: ModelGenSpec):
+    """p_flip -> the spec's model at that p_flip, with the spec's p_flip_im
+    and p_flip_tx overrides; the spec's own p_flip is not read.
+
+    P and softmax_rows(G) are drawn here, once, and each model mixes every
+    level (1 - p) * P + p * softmax_rows(G) from them. The draws are
+    read-only, so threads may build models concurrently. Models of equal
+    specs are bit-identical, from one call or from two. A gaussian_scale
+    whose draws overflow raises ModelError here; a p_flip that is not a
+    probability raises it from the returned function. The root prior is
+    uniform.
     """
-
-    topology: TreeTopology
-    seed: int
-    gaussian_scale: float
-    draws_im: tuple
-    draws_tx: tuple
-
-    def levels(self, modality: str) -> tuple:
-        return by_modality(modality, self.draws_im, self.draws_tx)
-
-
-def pflip_draws(spec: ModelGenSpec) -> PflipDraws:
-    """Draw P and softmax_rows(G) for every kernel of the spec's topology.
-
-    A function of (topology, seed, gaussian_scale) alone: the spec's mixing
-    weights are not read. A gaussian_scale whose draws overflow to
-    non-finite entries raises ModelError.
-    """
+    topo, S = spec.topology, spec.topology.n_states
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is caught below
-        trees = [tuple(_level_draws(spec, modality, level, m)
-                       for level, m in enumerate(spec.topology.branching(modality), start=1))
-                 for modality in MODALITIES]
+        draws = {modality: [_level_draws(spec, modality, level, m)
+                            for level, m in enumerate(topo.branching(modality), start=1)]
+                 for modality in MODALITIES}
     # a finite softmax row stays finite in every mix; a nan stays nan even at p = 0
-    if not all(np.isfinite(soft).all() for levels in trees for _, soft in levels):
+    if not all(np.isfinite(soft).all() for levels in draws.values() for _, soft in levels):
         raise ModelError(f"gaussian_scale: {spec.gaussian_scale!r} overflows the kernel draws")
-    return PflipDraws(spec.topology, spec.seed, spec.gaussian_scale, *trees)
 
+    def model(p_flip) -> JghmModel:
+        mix = replace(spec, p_flip=p_flip)
+        kernels = {}
+        for modality in MODALITIES:
+            p = mix.mixing(modality)
+            kernels[modality] = tuple((1.0 - p) * pi + p * soft for pi, soft in draws[modality])
+        metadata = {
+            "family": "pflip",
+            "p_flip": float(mix.p_flip),
+            "seed": mix.seed,
+            "gaussian_scale": mix.gaussian_scale,
+        }
+        if mix.p_flip_im is not None:
+            metadata["p_flip_im"] = float(mix.p_flip_im)
+        if mix.p_flip_tx is not None:
+            metadata["p_flip_tx"] = float(mix.p_flip_tx)
+        return JghmModel(
+            topology=topo,
+            root_prior=np.full(S, 1.0 / S),
+            kernels_im=kernels["im"],
+            kernels_tx=kernels["tx"],
+            metadata=metadata,
+        )
 
-def mix_pflip(draws: PflipDraws, spec: ModelGenSpec) -> JghmModel:
-    """The spec's model, each level mixed (1 - p) * P + p * softmax_rows(G)
-    from `draws`. Draws made for another topology, seed or gaussian_scale
-    raise ModelError.
-
-    Equal specs produce bit-identical models, whether each is mixed from
-    draws of its own or all share one set. The root prior is uniform.
-    """
-    wrong = [name for name in ("topology", "seed", "gaussian_scale")
-             if getattr(draws, name) != getattr(spec, name)]
-    if wrong:
-        raise ModelError(f"the draws were made for another {' and '.join(wrong)} than the spec")
-    kernels = {}
-    for modality in MODALITIES:
-        p = spec.mixing(modality)
-        kernels[modality] = tuple((1.0 - p) * pi + p * soft for pi, soft in draws.levels(modality))
-    metadata = {
-        "family": "pflip",
-        "p_flip": float(spec.p_flip),
-        "seed": int(spec.seed),
-        "gaussian_scale": float(spec.gaussian_scale),
-    }
-    if spec.p_flip_im is not None:
-        metadata["p_flip_im"] = float(spec.p_flip_im)
-    if spec.p_flip_tx is not None:
-        metadata["p_flip_tx"] = float(spec.p_flip_tx)
-    S = spec.topology.n_states
-    return JghmModel(
-        topology=spec.topology,
-        root_prior=np.full(S, 1.0 / S),
-        kernels_im=kernels["im"],
-        kernels_tx=kernels["tx"],
-        metadata=metadata,
-    )
+    return model
 
 
 def make_pflip_model(spec: ModelGenSpec) -> JghmModel:
-    """Generate the deterministic kernel-family model for a spec: its own
-    draws, mixed. A gaussian_scale that overflows the draws raises
-    ModelError."""
-    return mix_pflip(pflip_draws(spec), spec)
+    """The spec's model: `pflip_models(spec)` at the spec's p_flip."""
+    return pflip_models(spec)(spec.p_flip)
 
 
 def model_to_json(model: JghmModel) -> str:

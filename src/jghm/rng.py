@@ -13,22 +13,32 @@ import numpy as np
 __all__ = ["stream", "stream_key"]
 
 
+def _key_int(value, what: str, kind: str = "an integer") -> bytes:
+    """An integer (numpy ones included; bools and floats are not) as the 16
+    signed bytes of a key, else TypeError or ValueError naming `what`."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise TypeError(f"{what} must be {kind}, got {value!r}")
+    try:
+        return int(value).to_bytes(16, "big", signed=True)
+    except OverflowError:
+        raise ValueError(f"{what} must lie in [-2**127, 2**127), got {value!r}") from None
+
+
 def stream_key(seed: int, *parts) -> int:
     """Derive a 128-bit Philox key from a master seed and key parts.
 
-    Parts may be ints (any size, including negatives) or strings. The
-    encoding is length-prefixed so distinct part tuples never collide.
+    The seed and integer parts are integers in [-2**127, 2**127); parts may
+    also be strings. The encoding is length-prefixed so distinct part tuples
+    never collide.
     """
     h = hashlib.sha256()
-    h.update(int(seed).to_bytes(16, "big", signed=True))
+    h.update(_key_int(seed, "stream seed"))
     for part in parts:
         if isinstance(part, str):
             data = part.encode("utf-8")
             h.update(b"s" + len(data).to_bytes(4, "big") + data)
-        elif isinstance(part, (int, np.integer)):
-            h.update(b"i" + int(part).to_bytes(16, "big", signed=True))
         else:
-            raise TypeError(f"stream key parts must be str or int, got {type(part)!r}")
+            h.update(b"i" + _key_int(part, "stream key part", "a string or an integer"))
     return int.from_bytes(h.digest()[:16], "big")
 
 

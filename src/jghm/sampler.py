@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import JghmModel, ModelError
+from .model import JghmModel, ModelError, _integer
 
 __all__ = [
     "Sample",
@@ -64,12 +64,6 @@ class NoisyImage:
         check_time(self.t)
         if not np.all(np.isfinite(self.z)):
             raise ModelError("noisy image has non-finite entries")
-
-
-def _integer(value) -> bool:
-    """True for an integer, numpy ones included; bools and floats are not, so
-    a count or a class is never truncated on its way in."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def _batch_size(size) -> int:

@@ -10,6 +10,7 @@ from jghm.encoders import (
     exact_score,
     prefix_text_encoder,
 )
+from jghm.model import ModelError
 from test_model import uniform_model
 
 
@@ -46,18 +47,31 @@ class TestEncoderMechanics:
         assert np.array_equal(enc(x), enc(x))
 
     def test_non_finite_output_rejected(self):
-        enc = Encoder(name="bad", fn=lambda x: np.full(x.shape[:-1] + (1,), np.nan))
-        with pytest.raises(ValueError):
-            enc(np.array([[1]]))
+        for value in (np.nan, np.inf, -np.inf):
+            enc = Encoder(name="bad", fn=lambda x, v=value: np.full(x.shape[:-1] + (1,), v))
+            with pytest.raises(ModelError, match="encoder bad produced non-finite output"):
+                enc(np.array([[1]]))
 
     def test_prefix_encoder_bounds(self, ref_model):
-        with pytest.raises(ValueError):
+        with pytest.raises(ModelError):
             prefix_text_encoder(ref_model, 0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ModelError):
             prefix_text_encoder(ref_model, 5)
         enc = prefix_text_encoder(ref_model, 2)
         out = enc(np.array([1, 2, 3, 1]))
         assert out.shape == (3,) and out.sum() == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("n_observed", [9, -1, 1.7, 2.0, True, "2", np.float64(2)])
+    def test_prefix_encoder_named_error(self, ref_model, n_observed):
+        """An n_observed out of range or not an integer is never truncated."""
+        with pytest.raises(ModelError, match=r"n_observed must be an integer in \[1, 4\]"):
+            prefix_text_encoder(ref_model, n_observed)
+
+    def test_prefix_encoder_numpy_count(self, ref_model):
+        enc = prefix_text_encoder(ref_model, np.int64(2))
+        assert enc.name == "prefix-tx-2"
+        x = np.array([1, 2, 3, 1])
+        assert np.array_equal(enc(x), prefix_text_encoder(ref_model, 2)(x))
 
     def test_prefix_encoder_ignores_suffix(self, ref_model):
         enc = prefix_text_encoder(ref_model, 2)

@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import itertools
 import json
@@ -16,11 +15,11 @@ from jghm.model import (
     ModelGenSpec,
     TreeTopology,
     effective_b_psi,
+    _level_draws,
     make_pflip_model,
-    mix_pflip,
     model_from_json,
     model_to_json,
-    pflip_draws,
+    pflip_models,
     validate_model,
 )
 from jghm.oracle import exact_conditional_root
@@ -192,6 +191,23 @@ class TestPflipFamily:
         with pytest.raises(ModelError, match=name):
             ModelGenSpec(topology=topo(), seed=0, **kwargs)
 
+    @pytest.mark.parametrize("kwargs", [
+        {"seed": 1.5}, {"seed": "3"}, {"seed": True}, {"seed": None}, {"seed": 2**200},
+        {"seed": -2**127 - 1}, {"seed": 2**127}, {"gaussian_scale": True},
+        {"gaussian_scale": "x"}, {"gaussian_scale": float("nan")},
+        {"gaussian_scale": float("inf")}, {"gaussian_scale": None},
+    ])
+    def test_seed_and_scale_must_not_be_coerced(self, kwargs):
+        fields = {"seed": 0, **kwargs}
+        with pytest.raises(ModelError, match=next(iter(kwargs))):
+            ModelGenSpec(topology=topo(), p_flip=0.2, **fields)
+
+    def test_numpy_seed_and_scale_accepted(self):
+        spec = ModelGenSpec(topology=topo(), p_flip=0.2, seed=np.int64(-2**63), gaussian_scale=2)
+        assert type(spec.seed) is int and type(spec.gaussian_scale) is float
+        ends = [ModelGenSpec(topology=topo(), p_flip=0.2, seed=s).seed for s in (-2**127, 2**127 - 1)]
+        assert ends == [-2**127, 2**127 - 1]
+
     @given(
         st.integers(min_value=1, max_value=2),
         st.integers(min_value=1, max_value=3),
@@ -229,35 +245,30 @@ class TestSharedDraws:
                              ids=["none", "im", "tx", "both"])
     def test_mixed_model_bitwise_equal_to_own_draws(self, overrides):
         t = topo(m_im=(3, 2), m_tx=(2, 3), S=4)
-        draws = pflip_draws(ModelGenSpec(topology=t, p_flip=0.5, seed=13, gaussian_scale=1.7))
+        models = pflip_models(ModelGenSpec(topology=t, p_flip=0.5, seed=13, gaussian_scale=1.7,
+                                           **overrides))
         for p in (0.0, 0.2, 0.3, 1.0):
             spec = ModelGenSpec(topology=t, p_flip=p, seed=13, gaussian_scale=1.7, **overrides)
-            assert _bits(mix_pflip(draws, spec)) == _bits(make_pflip_model(spec))
-
-    @pytest.mark.parametrize("field, value", [("seed", 14), ("gaussian_scale", 2.0),
-                                              ("topology", topo(m_tx=(2, 3)))])
-    def test_draws_of_another_spec_raise(self, field, value):
-        spec = ModelGenSpec(topology=topo(), p_flip=0.3, seed=13)
-        draws = pflip_draws(dataclasses.replace(spec, **{field: value}))
-        with pytest.raises(ModelError, match=f"another {field} than the spec"):
-            mix_pflip(draws, spec)
+            assert _bits(models(p)) == _bits(make_pflip_model(spec))
 
     def test_draws_are_frozen(self):
-        """Each level's draws are a pair of read-only (m, S, S) stacks."""
+        """Each level's draws, which the models of a run share across
+        threads, are a pair of read-only (m, S, S) stacks."""
         t = topo(m_im=(3, 2), m_tx=(2, 3), S=4)
-        draws = pflip_draws(ModelGenSpec(topology=t, p_flip=0.3, seed=13))
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            draws.seed = 14
+        spec = ModelGenSpec(topology=t, p_flip=0.3, seed=13)
         for modality in ("im", "tx"):
-            levels = draws.levels(modality)
-            assert len(levels) == t.depth
-            for (pi, soft), m in zip(levels, t.branching(modality)):
-                for a in (pi, soft):
+            for level, m in enumerate(t.branching(modality), start=1):
+                for a in _level_draws(spec, modality, level, m):
                     assert a.shape == (m, 4, 4) and not a.flags.writeable
 
     def test_overflowing_gaussian_scale_raises_in_the_draws(self):
         with pytest.raises(ModelError, match=r"gaussian_scale: 1e\+308 overflows the kernel draws"):
-            pflip_draws(ModelGenSpec(topology=topo(), p_flip=0.0, seed=13, gaussian_scale=1e308))
+            pflip_models(ModelGenSpec(topology=topo(), p_flip=0.0, seed=13, gaussian_scale=1e308))
+
+    def test_model_p_flip_is_checked(self):
+        models = pflip_models(ModelGenSpec(topology=topo(), p_flip=0.0, seed=13))
+        with pytest.raises(ModelError, match="p_flip must be a real number in"):
+            models(1.5)
 
 
 # 5 topologies x 3 seeds x 3 gaussian scales x 4 mixes = 180 specs
