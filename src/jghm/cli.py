@@ -220,6 +220,13 @@ def _generator(c):
         raise ConfigError(str(e)) from e
 
 
+def _validate(model) -> float:
+    """validate_model(model) without its warning: p_flip = 0 legally has B_psi = inf."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return validate_model(model)
+
+
 def _resolve_model(c, generate=None) -> JghmModel:
     """The model_path model, validated, or else the model generated at
     p_flip (by `generate`, when the run has one)."""
@@ -228,45 +235,51 @@ def _resolve_model(c, generate=None) -> JghmModel:
         if c["p_flip"] is None:
             raise ConfigError("p_flip: missing; give it (with topology) or model_path")
         return (generate or _generator(c))(c["p_flip"])
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        validate_model(model)  # corrupted files fail with the named invariant
+    _validate(model)  # corrupted files fail with the named invariant
     return model
 
 
-def _write_reports(path: Path, reports, c):
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="") as f:
-        f.write(f"# build={BUILD_ID}\n")
-        f.write(f"# seed={c['seed']}\n")
-        f.write(f"# config_hash={c['config_hash']}\n")
-        writer = csv.writer(f)
-        writer.writerow(CSV_COLUMNS)
-        for r in reports:
-            writer.writerow(r.csv_row())
-    print(f"wrote {path} ({len(reports)} rows)")
+def _write(path: Path, output, c):
+    """Write one output stamped with the build, seed and config hash: RiskReports
+    as CSV under a `#` header, a dict as JSON, records (an iterator, so that
+    they stream) as JSON lines and a string (a model file) as it is."""
+    meta = {"build": BUILD_ID, "seed": c["seed"], "config_hash": c["config_hash"]}
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        with open(path, "w", newline="") as f:
+            note = ""
+            if isinstance(output, str):
+                f.write(output)
+            elif isinstance(output, dict):
+                f.write(json.dumps({**meta, **output}, sort_keys=True))
+            elif isinstance(output, list):
+                f.writelines(f"# {key}={value}\n" for key, value in meta.items())
+                writer = csv.writer(f)
+                writer.writerow(CSV_COLUMNS)
+                writer.writerows(r.csv_row() for r in output)
+                note = f" ({len(output)} rows)"
+            else:
+                n = 0
+                for n, record in enumerate(output, 1):
+                    f.write(json.dumps({**meta, **record}, sort_keys=True) + "\n")
+                note = f" ({n} records)"
+    except OSError as e:
+        raise ConfigError(f"cannot write {path}: {e}") from e
+    print(f"wrote {path}{note}")
 
 
 # ---------------------------------------------------------------------------
-# Subcommands
+# Subcommands: config `c` and flags `args` -> {file name: output}
 # ---------------------------------------------------------------------------
 
 
-def cmd_gen_model(args) -> int:
-    c = _config(args)
+def cmd_gen_model(c, args) -> dict:
     model = _generator(c)(c["p_flip"])
-    b_psi = validate_model(model)
-    out = Path(args.out or ".") / "model.json"
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(model_to_json(model))
-    print(f"wrote {out}")
-    print(f"effective B_psi = {b_psi}")
-    return 0
+    print(f"effective B_psi = {_validate(model)}")
+    return {"model.json": model_to_json(model)}
 
 
-def cmd_sweep(args) -> int:
-    c = _config(args)
-    threads = _read("--threads", _count, args.threads)
+def cmd_sweep(c, args) -> dict:
     kwargs = {"n": c["n"], "seed": c["seed"], "K": c["K"], "t": c["t"]}
     generate = _generator(c)
     train_model = None if c["train_p_flip"] is None else generate(c["train_p_flip"])
@@ -278,26 +291,20 @@ def cmd_sweep(args) -> int:
         res = misspec_bp_eval(train_model, test_model, c["task"], **kwargs)
         return [res.bayes, res.risk, res.excess]
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+    if args.threads > 1:
+        with ThreadPoolExecutor(max_workers=args.threads) as pool:
             results = list(pool.map(run_point, c["p_flip_list"]))
     else:
         results = [run_point(p) for p in c["p_flip_list"]]
-    reports = [r for rows in results for r in rows]
-    _write_reports(Path(args.out or ".") / "sweep.csv", reports, c)
-    return 0
+    return {"sweep.csv": [r for rows in results for r in rows]}
 
 
-def cmd_zsc(args) -> int:
-    c = _config(args)
+def cmd_zsc(c, args) -> dict:
     model = _resolve_model(c)
-    reports = zsc_kl_sweep(model, SCORES[c["score"]](model), c["M_list"], c["n"], c["seed"])
-    _write_reports(Path(args.out or ".") / "zsc.csv", reports, c)
-    return 0
+    return {"zsc.csv": zsc_kl_sweep(model, SCORES[c["score"]](model), c["M_list"], c["n"], c["seed"])}
 
 
-def cmd_cdm_sample(args) -> int:
-    c = _config(args)
+def cmd_cdm_sample(c, args) -> dict:
     try:
         sde = SdeConfig(horizon=c["T"], dt=c["dt"], n_paths=c["n_paths"], seed=c["seed"])
     except ModelError as e:
@@ -314,27 +321,14 @@ def cmd_cdm_sample(args) -> int:
         x_tx = np.asarray(c["text"], dtype=np.int64)
     drift_model = None if generate is None else generate(c["train_p_flip"])
     counts, cond = sampled_law(model, x_tx, sde, drift_model=drift_model)
-    out_dir = Path(args.out or ".")
-    _write_reports(out_dir / "cdm_sample.csv", [law_distance(counts, cond, sde, drift_model)], c)
-    hist = {
-        "build": BUILD_ID,
-        "seed": c["seed"],
-        "config_hash": c["config_hash"],
-        "text": x_tx.tolist(),
-        "counts": counts.tolist(),
-        "oracle_conditional": cond.tolist(),
-    }
-    (out_dir / "histogram.json").write_text(json.dumps(hist, sort_keys=True))
-    print(f"wrote {out_dir / 'histogram.json'}")
-    return 0
+    return {"cdm_sample.csv": [law_distance(counts, cond, sde, drift_model)],
+            "histogram.json": {"text": x_tx.tolist(), "counts": counts.tolist(),
+                               "oracle_conditional": cond.tolist()}}
 
 
-def cmd_vlm(args) -> int:
-    c = _config(args)
+def cmd_vlm(c, args) -> dict:
     model = _resolve_model(c)
-    report = vlm_divergence(enumerate_joint(model), ENCODERS[c["encoder"]](model, "im"))
-    _write_reports(Path(args.out or ".") / "vlm.csv", [report], c)
-    return 0
+    return {"vlm.csv": [vlm_divergence(enumerate_joint(model), ENCODERS[c["encoder"]](model, "im"))]}
 
 
 def _stack_to_lists(stack):
@@ -345,21 +339,16 @@ def _stack_to_lists(stack):
     return out
 
 
-def cmd_export_dataset(args) -> int:
-    c = _config(args)
-    n, noise_t, seed = c["n"], c["noise_t"], c["seed"]
-    model = _resolve_model(c)
-    out = Path(args.out or ".") / "dataset.jsonl"
-    out.parent.mkdir(parents=True, exist_ok=True)
-    with open(out, "w") as f:
-        for i in range(n):
-            rng = stream(seed, "export", i)
+def cmd_export_dataset(c, args) -> dict:
+    noise_t = c["noise_t"]
+    model = _resolve_model(c)  # here, so that a bad model writes no file
+
+    def records():
+        for i in range(c["n"]):
+            rng = stream(c["seed"], "export", i)
             s = sample_joint(model, rng)
             record = {
                 "schema_version": 1,
-                "build": BUILD_ID,
-                "seed": seed,
-                "config_hash": c["config_hash"],
                 "index": i,
                 "x_r": int(s.root),
                 "levels": {
@@ -387,9 +376,9 @@ def cmd_export_dataset(args) -> int:
                     stack = upsweep(model, "im", stack,
                                     root_log_posterior(model, "tx", s.x_tx))
                     record["noisy"]["messages"] = _stack_to_lists(stack)
-            f.write(json.dumps(record, sort_keys=True) + "\n")
-    print(f"wrote {out} ({n} records)")
-    return 0
+            yield record
+
+    return {"dataset.jsonl": records()}
 
 
 # ---------------------------------------------------------------------------
@@ -426,7 +415,7 @@ def _selftest_bp_vs_oracle(model, label, failures):
         failures.append(f"bp-vs-oracle {label}")
 
 
-def cmd_selftest(args) -> int:
+def cmd_selftest() -> int:
     failures = []
     for label, model in (
         ("reference", reference_model()),
@@ -435,9 +424,7 @@ def cmd_selftest(args) -> int:
         ("diffusion", diffusion_model()),
     ):
         try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")  # p_flip = 0 legally has B_psi = inf
-                validate_model(model)
+            _validate(model)
         except ModelError as e:
             print(f"FAIL validate [{label}]: {e}")
             failures.append(f"validate {label}")
@@ -463,40 +450,43 @@ def cmd_selftest(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+COMMANDS = {"gen-model": cmd_gen_model, "sweep": cmd_sweep, "zsc": cmd_zsc,
+            "cdm-sample": cmd_cdm_sample, "vlm": cmd_vlm, "export-dataset": cmd_export_dataset}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="jghm", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    commands = {}
-    for name, fn, needs_config in (
-        ("gen-model", cmd_gen_model, True),
-        ("sweep", cmd_sweep, True),
-        ("zsc", cmd_zsc, True),
-        ("cdm-sample", cmd_cdm_sample, True),
-        ("vlm", cmd_vlm, True),
-        ("export-dataset", cmd_export_dataset, True),
-        ("selftest", cmd_selftest, False),
-    ):
+    for name in COMMANDS:
         p = sub.add_parser(name)
-        p.set_defaults(fn=fn)
-        if needs_config:
-            p.add_argument("--config", required=True, help="JSON config path")
+        p.add_argument("--config", required=True, help="JSON config path")
         p.add_argument("--seed", type=int, default=None, help="master seed (overrides config)")
         p.add_argument("--out", default=None, help="output directory")
-        commands[name] = p
-    commands["sweep"].add_argument("--threads", type=int, default=1,
-                                   help="sweep points evaluated in parallel")
-    # cdm-sample runs single-threaded; it accepts --threads so that scripts can
-    # pass the same flags to sweep and cdm-sample.
-    commands["cdm-sample"].add_argument("--threads", type=int, default=1, help="ignored")
-    commands["export-dataset"].add_argument(
-        "--with-messages", action="store_true", help="also export BP message stacks")
+        # cdm-sample runs single-threaded; it accepts --threads so that
+        # scripts can pass the same flags to sweep and cdm-sample.
+        if name in ("sweep", "cdm-sample"):
+            p.add_argument("--threads", type=int, default=1,
+                           help="sweep points evaluated in parallel (cdm-sample: ignored)")
+        if name == "export-dataset":
+            p.add_argument("--with-messages", action="store_true",
+                           help="also export BP message stacks")
+    sub.add_parser("selftest")
     return parser
 
 
 def main(argv=None) -> int:
+    """Run one command: read its config, run it, then write each output it
+    returns into --out, so that a run that fails before then writes nothing."""
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        if args.command == "selftest":
+            return cmd_selftest()
+        c = _config(args)
+        if "threads" in args:
+            _read("--threads", _count, args.threads)
+        for name, output in COMMANDS[args.command](c, args).items():
+            _write(Path(args.out or ".") / name, output, c)
+        return 0
     except (ConfigError, ModelError, BudgetExceeded) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1 if isinstance(e, ModelError) else 2

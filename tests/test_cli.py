@@ -363,6 +363,7 @@ class TestOtherCommands:
     ("sweep", {"task": "clip", "topology": TOPO, "p_flip_list": [0.2], "n": 10,
                "gaussian_scale": 1e308}),
     ("vlm", {"topology": TOPO, "p_flip": 0.3, "gaussian_scale": 1e308}),
+    ("cdm-sample --threads 0", {"topology": TOPO, "p_flip": 0.3, "n_paths": 2, "T": 1.0, "dt": 0.5}),
 ])
 def test_bad_config_exits_2_without_traceback(workdir, command, cfg):
     path = workdir / "bad.json"
@@ -643,9 +644,12 @@ LARGE_SWEEP = {"topology": {"depth": 4, "m_im": [3, 3, 3, 3], "m_tx": [3, 3, 3, 
     ("sweep", {**LARGE_SWEEP, "task": "vlm", "n": 96}, {"sweep.csv": "a72ab6492f3cc794"}),
     ("cdm-sample", {**CDM, "train_p_flip": 0.2},
      {"cdm_sample.csv": "c17aa851fb9b8fdd", "histogram.json": "cd2b5c0759cf3e91"}),
+    ("gen-model", {"topology": TOPO, "p_flip": 0.3, "model_seed": 3},
+     {"model.json": "0be6681712bdcd20"}),
 ], ids=["sweep-clip", "sweep-zsc", "sweep-cdm", "sweep-vlm", "zsc-exact", "zsc-coarsened",
         "zsc-constant", "zsc-S9", "zsc-S10", "vlm-canonical", "vlm-coarsened", "vlm-constant",
-        "export-p0", "export-p0.3", "cdm-sample", "clip-large", "vlm-large", "cdm-sample-train"])
+        "export-p0", "export-p0.3", "cdm-sample", "clip-large", "vlm-large", "cdm-sample-train",
+        "gen-model"])
 def test_outputs_byte_identical(workdir, command, cfg, digests):
     path = workdir / "cfg.json"
     path.write_text(json.dumps(cfg))
@@ -754,6 +758,54 @@ def test_selftest_passes():
     assert r.returncode == 0
     assert "selftest: all checks passed" in r.stdout
     assert "SKIP oracle-equivalence" in r.stdout
+
+
+@pytest.mark.parametrize("option", [["--seed", "1"], ["--out", "x"]])
+def test_selftest_takes_no_seed_or_out(option, capsys):
+    with pytest.raises(SystemExit) as e:
+        main(["selftest", *option])
+    assert e.value.code == 2
+    assert f"error: unrecognized arguments: {' '.join(option)}" in capsys.readouterr().err
+
+
+def test_gen_model_at_p_flip_0_prints_no_warning(workdir):
+    path = workdir / "gen.json"
+    path.write_text(json.dumps({"topology": TOPO, "p_flip": 0.0, "model_seed": 3}))
+    r = run_cli("gen-model", "--config", str(path), "--out", str(workdir / "m"))
+    assert (r.returncode, r.stderr) == (0, "")
+    assert "effective B_psi = inf" in r.stdout
+
+
+@pytest.mark.parametrize("command", sorted(CONFIGS))
+def test_unwritable_out_exits_2(workdir, command):
+    """An --out that names a file is a usage error named by its path."""
+    (workdir / "file").write_text("")
+    path = workdir / "cfg.json"
+    path.write_text(json.dumps(BASE_CONFIGS[command]))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main([command, "--config", str(path), "--out", str(workdir / "file")])
+    assert code == 2 and err.getvalue().startswith(f"error: cannot write {workdir / 'file'}/"), \
+        err.getvalue()
+
+
+@pytest.mark.parametrize("command, cfg, code", [
+    ("vlm", {"topology": LARGE_SWEEP["topology"], "p_flip": 0.3, "model_seed": 11}, 2),
+    ("cdm-sample", {"topology": TOPO, "p_flip": 0.3, "model_seed": 11, "train_p_flip": 0.0,
+                    "n_paths": 4, "T": 1, "dt": 0.5}, 1),
+    ("export-dataset", {"model_path": "bad_model.json", "n": 2}, 1),
+])
+def test_failed_run_creates_no_out(workdir, monkeypatch, command, cfg, code):
+    """A run that fails before its outputs are written leaves --out absent:
+    over the enumeration budget, a zero-mass drift text, a bad model file."""
+    monkeypatch.chdir(workdir)
+    doc = copy.deepcopy(MODEL_DOC)
+    doc["root_prior"] = [1e308] * 3
+    Path("bad_model.json").write_text(json.dumps(doc))
+    Path("cfg.json").write_text(json.dumps(cfg))
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert main([command, "--config", "cfg.json", "--seed", "2", "--out", "o"]) == code
+    assert not Path("o").exists()
 
 
 @pytest.mark.parametrize("command", ["vlm", "cdm-sample"])
