@@ -48,6 +48,9 @@ from .model import (
     JghmModel,
     ModelError,
     ModelGenSpec,
+    _count,
+    _real,
+    _seed,
     make_pflip_model,
     model_from_json,
     model_to_json,
@@ -76,34 +79,7 @@ class ConfigError(ValueError):
 REQUIRED = object()  # the default of a key that a command cannot run without
 
 
-def _count(value, minimum=1) -> int:
-    """A count of at least `minimum`; bools and floats are rejected."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
-        raise ConfigError(f"must be an integer >= {minimum}, got {value!r}")
-    return value
-
-
-def _seed(value) -> int:
-    """A seed: an integer that fits the signed 128 bits of a stream key;
-    bools and floats are rejected."""
-    if isinstance(value, bool) or not isinstance(value, int) or not -2**127 <= value < 2**127:
-        raise ConfigError(f"must be an integer in [-2**127, 2**127), got {value!r}")
-    return value
-
-
-def _real(value):
-    """A finite real number; bools, nan and integers beyond floats are rejected."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)) \
-            or not abs(value) <= sys.float_info.max:
-        raise ConfigError(f"must be a finite real number, got {value!r}")
-    return value
-
-
-def _probability(value):
-    """A real number in [0, 1]; bools are rejected."""
-    if not 0 <= _real(value) <= 1:
-        raise ConfigError(f"must be a real number in [0, 1], got {value!r}")
-    return value
+_probability = partial(_real, low=0, high=1)
 
 
 def _list_of(read, value) -> list:
@@ -154,7 +130,7 @@ CONFIGS = {
     "sweep": {**_GENERATED, "task": (partial(_one_of, MISSPEC_TASKS), REQUIRED),
               "p_flip_list": (partial(_list_of, _probability), REQUIRED),
               "train_p_flip": (_probability, None), "n": (_count, 2000),
-              "K": (partial(_count, minimum=2), 8), "t": (check_time, 1.0)},
+              "K": (partial(_count, low=2), 8), "t": (check_time, 1.0)},
     "zsc": {**_MODEL, "n": (_count, 2000), "M_list": (partial(_list_of, _count), [64]),
             "score": (partial(_one_of, SCORES), "exact")},
     "cdm-sample": {**_MODEL, "n_paths": (_count, 2000), "T": (_real, 20.0), "dt": (_real, 0.01),
@@ -237,6 +213,17 @@ def _resolve_model(c, generate=None) -> JghmModel:
         return (generate or _generator(c))(c["p_flip"])
     _validate(model)  # corrupted files fail with the named invariant
     return model
+
+
+def _check_out(out: Path):
+    """ConfigError if --out, or else its nearest existing ancestor, is not a
+    directory; checked before the run and creating nothing."""
+    try:
+        existing = next((p for p in (out, *out.parents) if p.exists()), None)
+    except OSError as e:  # e.g. a directory on the way that cannot be searched
+        raise ConfigError(f"cannot write {out}/: {e}") from e
+    if existing is not None and not existing.is_dir():
+        raise ConfigError(f"cannot write {out}/: {existing} is not a directory")
 
 
 def _write(path: Path, output, c):
@@ -475,8 +462,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Run one command: read its config, run it, then write each output it
-    returns into --out, so that a run that fails before then writes nothing."""
+    """Run one command: read its config, check --out, run the command, then
+    write each output it returns into --out, so that a run that fails before
+    then writes nothing."""
     args = build_parser().parse_args(argv)
     try:
         if args.command == "selftest":
@@ -484,8 +472,10 @@ def main(argv=None) -> int:
         c = _config(args)
         if "threads" in args:
             _read("--threads", _count, args.threads)
+        out = Path(args.out or ".")
+        _check_out(out)
         for name, output in COMMANDS[args.command](c, args).items():
-            _write(Path(args.out or ".") / name, output, c)
+            _write(out / name, output, c)
         return 0
     except (ConfigError, ModelError, BudgetExceeded) as e:
         print(f"error: {e}", file=sys.stderr)

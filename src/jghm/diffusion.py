@@ -7,13 +7,12 @@ total-variation comparison against the enumeration oracle.
 """
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .bp import _image_drift, root_log_posterior
-from .model import JghmModel, ModelError, _integer
+from .model import JghmModel, ModelError, _count, _real, _seed
 from .oracle import encode_leaves, enumerate_joint
 from .metrics import RiskReport, _monte_carlo
 from .rng import stream
@@ -34,12 +33,12 @@ class SdeConfig:
     seed: int
 
     def __post_init__(self):
-        for name, v in (("horizon", self.horizon), ("dt", self.dt)):
-            if isinstance(v, bool) or not isinstance(v, numbers.Real) or not (
-                    math.isfinite(v) and v > 0):
+        for name in ("horizon", "dt"):
+            v = _real(getattr(self, name), what=name)
+            if v <= 0:
                 raise ModelError(f"{name} must be a finite real > 0, got {v!r}")
-        if not _integer(self.n_paths) or self.n_paths < 1:
-            raise ModelError(f"n_paths must be an integer >= 1, got {self.n_paths!r}")
+        _count(self.n_paths, what="n_paths")
+        _seed(self.seed, what="seed")
         steps = self.horizon / self.dt
         if not math.isfinite(steps) or abs(steps - round(steps)) > 1e-9:
             raise ModelError(f"horizon/dt = {steps!r} must be integral within 1e-9")

@@ -17,7 +17,7 @@ from functools import partial
 import numpy as np
 
 from .bp import downsweep, evidence_from_states, root_posterior
-from .model import JghmModel, ModelError, _integer, by_modality
+from .model import JghmModel, ModelError, _count, by_modality
 
 __all__ = [
     "Encoder",
@@ -103,9 +103,7 @@ def prefix_text_encoder(model: JghmModel, n_observed: int = None) -> Encoder:
     (d_tx // 2, at least 1, by default). An n_observed that is not an
     integer in [1, d_tx] (bools and floats included) raises ModelError."""
     d = model.topology.d_tx
-    k = max(1, d // 2) if n_observed is None else n_observed
-    if not _integer(k) or not 1 <= k <= d:
-        raise ModelError(f"n_observed must be an integer in [1, {d}], got {k!r}")
+    k = max(1, d // 2) if n_observed is None else _count(n_observed, high=d, what="n_observed")
 
     def fn(leaves):
         leaves = np.asarray(leaves)

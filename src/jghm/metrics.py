@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bp import bayes_denoiser, root_posterior, text_log_likelihood
-from .model import JghmModel, ModelError, _integer
+from .model import JghmModel, ModelError, _count, _integer
 from .oracle import (
     JointTable,
     _expected_kl,
@@ -88,12 +88,19 @@ def _report(name: str, values: np.ndarray, meta: dict) -> RiskReport:
     return RiskReport(name, *_mean_se(values), len(values), meta)
 
 
+def _rows(n: int) -> int:
+    """`n`, a number of Monte-Carlo rows: an integer >= 1, else ModelError
+    naming n."""
+    if _integer(n) and n < 1:
+        raise ModelError(f"a Monte-Carlo estimate needs n >= 1 rows, got {n}")
+    return _count(n, what="n")
+
+
 def _monte_carlo(n: int, rows, size: int = CHUNK) -> np.ndarray:
     """The one chunk loop: `rows(c, B)` gives the (B, ...) block of chunk
     c = 0, 1, ..., which holds B = min(size, n - c * size) rows; the blocks
     are stacked in chunk order."""
-    if n < 1:
-        raise ModelError(f"a Monte-Carlo estimate needs n >= 1 rows, got {n}")
+    _rows(n)
     return np.concatenate([rows(c, min(size, n - lo)) for c, lo in enumerate(range(0, n, size))])
 
 
@@ -138,8 +145,8 @@ def clip_risk(model: JghmModel, score, K: int, n: int, seed: int) -> RiskReport:
 
     Constant scores short-circuit to the exact value 2 log K.
     """
-    if K < 2 or n < 1:
-        raise ModelError("clip_risk needs K >= 2 and n >= 1")
+    _count(K, low=2, what="K")
+    _rows(n)
     meta = {"K": K, "seed": seed, "score": score.name}
     if score.model is None:
         return RiskReport("clip_risk", 2.0 * math.log(K), 0.0, n, meta)
@@ -156,7 +163,8 @@ def clip_excess_and_mi_limit(model: JghmModel, score, K_list, n: int, seed: int)
     """
     star = exact_score(model)
     reports = []
-    for K in K_list:
+    for j, K in enumerate(K_list):
+        _count(K, low=2, what=f"K_list[{j}]")
         losses = _monte_carlo(n, lambda c, B: _contrastive_batch_losses(
             model, [star, score], K, B, stream(seed, "clip-excess", K, c)))
         star_mean, star_se = _mean_se(losses[:, 0])
@@ -198,8 +206,7 @@ def _class_prediction(pair: np.ndarray, log_prior: np.ndarray) -> np.ndarray:
 
 def zsc_predict(model: JghmModel, score, x_im: np.ndarray, M: int, rng) -> np.ndarray:
     """Class posterior for one image from the aggregated-score classifier."""
-    if M < 1:
-        raise ModelError("zsc_predict needs M >= 1")
+    _count(M, what="M")
     pair = _class_pair_scores(model, score, np.asarray(x_im)[None, :], M, rng)
     return _class_prediction(pair, np.log(model.root_prior))[0]
 
@@ -227,8 +234,7 @@ def zsc_kl_sweep(model: JghmModel, score, M_list, n: int, seed: int):
     if not M_list:
         raise ModelError("zsc_kl_sweep needs a non-empty M_list")
     for j, M in enumerate(M_list):
-        if not _integer(M) or M < 1:
-            raise ModelError(f"M_list[{j}] must be an integer >= 1, got {M!r}")
+        _count(M, what=f"M_list[{j}]")
     M_max = max(M_list)
     log_prior = np.log(model.root_prior)
 
@@ -397,6 +403,8 @@ def misspec_bp_eval(train_model: JghmModel, test_model: JghmModel, task: str,
     """
     if task not in MISSPEC_TASKS:
         raise ModelError(f"unknown task {task!r}; expected {', '.join(MISSPEC_TASKS)}")
+    if task == "clip":  # before K keys a stream
+        _count(K, low=2, what="K")
     task_losses, risk_name, excess_name, params = MISSPEC_TASKS[task]
     models = (test_model,) if train_model is test_model else (test_model, train_model)
     losses = _monte_carlo(n, lambda c, B: task_losses(models, B, c, seed, K, t))

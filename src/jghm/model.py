@@ -59,6 +59,34 @@ class ModelError(ValueError):
         super().__init__("; ".join(self.problems))
 
 
+def _count(value, low=1, high=None, what=""):
+    """`value` if it is an integer in [low, high] (high None: unbounded); like
+    `_seed` and `_real`, else ModelError "<what> must be ..., got <value!r>"."""
+    if _integer(value) and low <= value and (high is None or value <= high):
+        return value
+    kind = f">= {low}" if high is None else f"in [{low}, {high}]"
+    raise ModelError(f"{what} must be an integer {kind}, got {value!r}".lstrip())
+
+
+def _seed(value, what=""):
+    """`value` if it is an integer in [-2**127, 2**127), a stream key's range."""
+    if _integer(value) and -2**127 <= value < 2**127:
+        return value
+    raise ModelError(f"{what} must be an integer in [-2**127, 2**127), got {value!r}".lstrip())
+
+
+def _real(value, low=None, high=None, what=""):
+    """`value` if it is a finite real number in [low, high] (`high` only with
+    `low`); numpy ones count, bools, nan and integers beyond floats do not."""
+    if not isinstance(value, bool) and isinstance(value, numbers.Real) \
+            and abs(value) <= sys.float_info.max \
+            and (low is None or low <= value) and (high is None or value <= high):
+        return value
+    kind = "a finite real number" if low is None else \
+        f"a finite real >= {low}" if high is None else f"a real number in [{low}, {high}]"
+    raise ModelError(f"{what} must be {kind}, got {value!r}".lstrip())
+
+
 def by_modality(modality: str, im, tx):
     """`im` for the image tree, `tx` for the text tree; any other modality
     raises ModelError."""
@@ -388,20 +416,12 @@ class ModelGenSpec:
     p_flip_tx: float = None
 
     def __post_init__(self):
-        seed, scale = self.seed, self.gaussian_scale
-        if not _integer(seed) or not -2**127 <= seed < 2**127:
-            raise ModelError(f"seed must be an integer in [-2**127, 2**127), got {seed!r}")
-        if isinstance(scale, bool) or not isinstance(scale, numbers.Real) \
-                or not abs(scale) <= sys.float_info.max:
-            raise ModelError(f"gaussian_scale must be a finite real number, got {scale!r}")
-        object.__setattr__(self, "seed", int(seed))
-        object.__setattr__(self, "gaussian_scale", float(scale))
-        for name, p in (("p_flip", self.p_flip), ("p_flip_im", self.p_flip_im),
-                        ("p_flip_tx", self.p_flip_tx)):
-            if p is None and name != "p_flip":
-                continue  # no per-tree override
-            if isinstance(p, bool) or not isinstance(p, numbers.Real) or not 0.0 <= p <= 1.0:
-                raise ModelError(f"{name} must be a real number in [0, 1], got {p!r}")
+        object.__setattr__(self, "seed", int(_seed(self.seed, what="seed")))
+        object.__setattr__(self, "gaussian_scale",
+                           float(_real(self.gaussian_scale, what="gaussian_scale")))
+        for name in ("p_flip", "p_flip_im", "p_flip_tx"):
+            if getattr(self, name) is not None or name == "p_flip":  # None: no per-tree override
+                _real(getattr(self, name), low=0, high=1, what=name)
 
     def mixing(self, modality: str) -> float:
         override = by_modality(modality, self.p_flip_im, self.p_flip_tx)

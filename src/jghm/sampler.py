@@ -5,13 +5,11 @@ vectorize over a leading axis and consume generator draws in a fixed order,
 so identical generators reproduce identical bits.
 """
 
-import numbers
-import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import JghmModel, ModelError, _integer
+from .model import JghmModel, ModelError, _count, _integer, _real
 
 __all__ = [
     "Sample",
@@ -46,11 +44,8 @@ class Sample:
 
 
 def check_time(t: float) -> float:
-    """Return a diffusion time; reject one that is not a real number (bools
-    included), or is negative, infinite, nan or an integer beyond floats."""
-    if isinstance(t, bool) or not isinstance(t, numbers.Real) or not 0 <= t <= sys.float_info.max:
-        raise ModelError(f"diffusion time t must be a finite real >= 0, got {t!r}")
-    return t
+    """`t` if it is a diffusion time, a finite real >= 0, else ModelError."""
+    return _real(t, low=0, what="diffusion time t")
 
 
 @dataclass(frozen=True)
@@ -66,15 +61,9 @@ class NoisyImage:
             raise ModelError("noisy image has non-finite entries")
 
 
-def _batch_size(size) -> int:
-    if not _integer(size) or size < 0:
-        raise ModelError(f"size must be an integer >= 0, got {size!r}")
-    return int(size)
-
-
 def _draw_roots(model: JghmModel, size, rng) -> np.ndarray:
     """`size` roots from the prior, by the count `_sample_tree` draws with."""
-    u = rng.random(_batch_size(size))
+    u = rng.random(_count(size, low=0, what="size"))
     return (u > model.root_cum[:-1, None]).sum(axis=0) + 1
 
 
@@ -175,6 +164,6 @@ def sample_text_for_class(model: JghmModel, y: int, rng: np.random.Generator,
                           size: int) -> np.ndarray:
     """Sample `size` text leaf vectors (size, d_tx) conditioned on the root
     being class y."""
-    if not _integer(y) or not 1 <= y <= model.n_states:
-        raise ModelError(f"class y must be an integer in [1, {model.n_states}], got {y!r}")
-    return _sample_tree(model, "tx", np.full(_batch_size(size), y, dtype=np.int64), rng)[-1]
+    _count(y, high=model.n_states, what="class y")
+    roots = np.full(_count(size, low=0, what="size"), y, dtype=np.int64)
+    return _sample_tree(model, "tx", roots, rng)[-1]

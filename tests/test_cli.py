@@ -789,6 +789,26 @@ def test_unwritable_out_exits_2(workdir, command):
         err.getvalue()
 
 
+@pytest.mark.parametrize("out", ["file", "file/sub"])
+@pytest.mark.parametrize("command", sorted(CONFIGS))
+def test_unwritable_out_exits_2_before_the_run(workdir, monkeypatch, command, out):
+    """An --out that is a file, or lies below one, exits 2 before the command
+    runs and creates nothing."""
+    def run(c, args):
+        raise AssertionError("the command ran")
+
+    monkeypatch.setitem(jghm.cli.COMMANDS, command, run)
+    monkeypatch.chdir(workdir)
+    Path("file").write_text("kept")
+    Path("cfg.json").write_text(json.dumps(BASE_CONFIGS[command]))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main([command, "--config", "cfg.json", "--out", out])
+    assert code == 2 and err.getvalue() == f"error: cannot write {out}/: file is not a directory\n"
+    assert sorted(p.name for p in workdir.iterdir()) == ["cfg.json", "file"]
+    assert Path("file").read_text() == "kept"
+
+
 @pytest.mark.parametrize("command, cfg, code", [
     ("vlm", {"topology": LARGE_SWEEP["topology"], "p_flip": 0.3, "model_seed": 11}, 2),
     ("cdm-sample", {"topology": TOPO, "p_flip": 0.3, "model_seed": 11, "train_p_flip": 0.0,

@@ -37,10 +37,19 @@ class TestConfig:
         (float("nan"), 0.1, 10), (1.0, float("inf"), 10),
         (float("inf"), 0.1, 10), (True, 0.1, 10), (1.0, True, 10), ("1", 0.1, 10),
         (1.0, 0.1, 1.5), (1.0, 0.1, True), (1e308, 1e-10, 10),
+        pytest.param(10**400, 1.0, 10, id="int-beyond-floats-1.0-10"),
     ])
     def test_rejected_grids(self, horizon, dt, n_paths):
         with pytest.raises(ModelError):
             SdeConfig(horizon=horizon, dt=dt, n_paths=n_paths, seed=0)
+
+    @pytest.mark.parametrize("seed", [2.5, True, "0", None, 2**127, -2**127 - 1])
+    def test_seed_that_is_not_a_stream_seed_is_named(self, seed):
+        with pytest.raises(ModelError, match=r"seed must be an integer in \[-2\*\*127, 2\*\*127\)"):
+            SdeConfig(horizon=1.0, dt=0.5, n_paths=2, seed=seed)
+
+    def test_numpy_seed(self):
+        assert SdeConfig(horizon=1.0, dt=0.5, n_paths=2, seed=np.int64(3)).seed == 3
 
 
 class TestRounding:

@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -49,6 +50,35 @@ class TestRiskReport:
         row = r.csv_row()
         assert row[0] == "zsc_kl" and len(row) == 10
         assert row[5] == "16" and row[9] == "3"
+
+
+# evaluator call -> (the argument it names, the call with `v` as that argument)
+BAD_COUNT_CALLS = {
+    "clip_risk-n": ("n", lambda m, table, v: clip_risk(m, exact_score(m), 4, v, seed=0)),
+    "clip_risk-K": ("K", lambda m, table, v: clip_risk(m, constant_score(), v, 4, seed=0)),
+    "clip_excess-n": ("n", lambda m, table, v: clip_excess_and_mi_limit(
+        m, coarsened_score(m), [4], v, seed=0)),
+    "clip_excess-K": ("K_list[0]", lambda m, table, v: clip_excess_and_mi_limit(
+        m, coarsened_score(m), [v], 4, seed=0)),
+    "zsc_kl-n": ("n", lambda m, table, v: zsc_kl_sweep(m, exact_score(m), [4], v, seed=0)),
+    "zsc_predict-M": ("M", lambda m, table, v: zsc_predict(
+        m, exact_score(m), np.ones(m.topology.d_im, dtype=np.int64), v, stream(0, "bad-m"))),
+    "cdm-n": ("n", lambda m, table, v: cdm_estimation_error(
+        m, table, constant_encoder(m, "tx"), 1.0, v, seed=0)),
+    **{f"misspec-{task}-n": ("n", lambda m, table, v, task=task: misspec_bp_eval(m, m, task, n=v))
+       for task in metrics.MISSPEC_TASKS},
+    "misspec-clip-K": ("K", lambda m, table, v: misspec_bp_eval(m, m, "clip", n=4, K=v)),
+}
+
+
+@pytest.mark.parametrize("value", [True, 2.5, 0])
+@pytest.mark.parametrize("call", list(BAD_COUNT_CALLS))
+def test_count_that_is_not_an_integer_in_range_is_named(ref_model, ref_table, call, value):
+    """A bool, a float or a count below range raises ModelError naming the
+    argument, before any row is drawn."""
+    name, estimate = BAD_COUNT_CALLS[call]
+    with pytest.raises(ModelError, match=rf"(^|\s){re.escape(name)} .*got {re.escape(repr(value))}$"):
+        estimate(ref_model, ref_table, value)
 
 
 class TestMonteCarlo:

@@ -1,6 +1,9 @@
+import ast
 import hashlib
 import itertools
 import json
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,8 +17,11 @@ from jghm.model import (
     ModelError,
     ModelGenSpec,
     TreeTopology,
-    effective_b_psi,
+    _count,
     _level_draws,
+    _real,
+    _seed,
+    effective_b_psi,
     make_pflip_model,
     model_from_json,
     model_to_json,
@@ -65,6 +71,57 @@ class TestTopology:
                          n_states=np.uint8(3))
         assert t == topo(m_im=(2, 3), m_tx=(3, 1))
         assert all(type(v) is int for v in (t.depth, t.n_states, *t.m_im, *t.m_tx))
+
+
+class TestScalarReaders:
+    """`_count`, `_seed` and `_real`: the one home of the scalar checks."""
+
+    @pytest.mark.parametrize("read, value", [
+        (_count, 1), (_count, np.uint8(7)), (_count, 2**200),
+        (lambda v: _count(v, low=0, high=3), 0), (lambda v: _count(v, high=3), np.int64(3)),
+        (_seed, -2**127), (_seed, 2**127 - 1), (_seed, np.int16(-5)),
+        (_real, -1e308), (_real, 3), (_real, np.float64(0.5)), (_real, Fraction(1, 3)),
+        (lambda v: _real(v, low=0), 0), (lambda v: _real(v, low=0, high=1), 1),
+    ])
+    def test_accepted_value_is_returned_unchanged(self, read, value):
+        assert read(value) is value
+
+    @pytest.mark.parametrize("read, value, message", [
+        (lambda v: _count(v, what="n"), 0, "n must be an integer >= 1, got 0"),
+        (lambda v: _count(v, low=2, what="K"), True, "K must be an integer >= 2, got True"),
+        (lambda v: _count(v, what="M"), 2.0, "M must be an integer >= 1, got 2.0"),
+        (lambda v: _count(v, high=3, what="y"), 4, "y must be an integer in [1, 3], got 4"),
+        (_count, "3", "must be an integer >= 1, got '3'"),
+        (lambda v: _seed(v, what="seed"), 2**127, "seed must be an integer in [-2**127, 2**127), "
+                                                  f"got {2**127}"),
+        (_seed, 1.0, "must be an integer in [-2**127, 2**127), got 1.0"),
+        (lambda v: _real(v, what="x"), float("nan"), "x must be a finite real number, got nan"),
+        (_real, True, "must be a finite real number, got True"),
+        (_real, 10**400, f"must be a finite real number, got {10**400}"),
+        (_real, None, "must be a finite real number, got None"),
+        (lambda v: _real(v, low=0, what="t"), -0.5, "t must be a finite real >= 0, got -0.5"),
+        (lambda v: _real(v, low=0), float("inf"), "must be a finite real >= 0, got inf"),
+        (lambda v: _real(v, low=0, high=1, what="p"), 1.5, "p must be a real number in [0, 1], got 1.5"),
+        (lambda v: _real(v, low=0, high=1), True, "must be a real number in [0, 1], got True"),
+    ])
+    def test_rejected_value_is_named(self, read, value, message):
+        with pytest.raises(ModelError) as e:
+            read(value)
+        assert str(e.value) == message
+
+    def test_only_model_and_rng_test_for_bools(self):
+        """No other module hand-rolls a scalar check: a call of
+        isinstance(..., bool) outside model.py and rng.py is one."""
+        def names(node):
+            return [e.id for e in getattr(node, "elts", [node]) if isinstance(e, ast.Name)]
+
+        src = Path(__file__).resolve().parents[1] / "src" / "jghm"
+        found = [f"{path.name}:{node.lineno}" for path in sorted(src.glob("*.py"))
+                 if path.name not in ("model.py", "rng.py")
+                 for node in ast.walk(ast.parse(path.read_text()))
+                 if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance"
+                 and len(node.args) == 2 and "bool" in names(node.args[1])]
+        assert found == []
 
 
 def uniform_model(S=3):
